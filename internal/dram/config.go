@@ -8,7 +8,10 @@
 // on construction.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the CPU cache-line size used throughout the system.
 const LineBytes = 64
@@ -101,6 +104,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram %q: timing parameters must be positive", c.Name)
 	case c.RowBufferBytes < LineBytes:
 		return fmt.Errorf("dram %q: RowBufferBytes %d smaller than a line", c.Name, c.RowBufferBytes)
+	case !pow2(c.Channels) || !pow2(c.Banks):
+		return fmt.Errorf("dram %q: Channels %d and Banks %d must be powers of two (the address decode shifts and masks)",
+			c.Name, c.Channels, c.Banks)
+	case !pow2(c.RowBufferBytes / LineBytes):
+		return fmt.Errorf("dram %q: RowBufferBytes %d must hold a power-of-two number of %d B lines",
+			c.Name, c.RowBufferBytes, LineBytes)
+	case !pow2(c.BusWidthBits / 8):
+		return fmt.Errorf("dram %q: BusWidthBits %d must move a power-of-two number of bytes per beat",
+			c.Name, c.BusWidthBits)
 	case c.RefreshEnabled && (c.TREFI <= 0 || c.TRFC <= 0 || c.TRFC >= c.TREFI):
 		return fmt.Errorf("dram %q: refresh timing tREFI=%d tRFC=%d invalid", c.Name, c.TREFI, c.TRFC)
 	case c.WriteBuffering && c.WriteDrainThreshold <= 0:
@@ -109,11 +121,61 @@ func (c Config) Validate() error {
 	return nil
 }
 
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 // CPUPerBus returns the number of CPU cycles per DRAM bus cycle.
 func (c Config) CPUPerBus() uint64 { return uint64(c.CPUMHz / c.BusMHz) }
 
 // BytesPerHalfBusCycle returns the bytes moved per DDR beat (half bus cycle).
 func (c Config) BytesPerHalfBusCycle() int { return c.BusWidthBits / 8 }
+
+// Decoder is a valid Config's address map and burst timing in shift-and-mask
+// form: Validate guarantees that every divisor is a power of two. Module and
+// the FR-FCFS controller (package memctrl) both decode through it.
+type Decoder struct {
+	chanMask   uint64
+	lineShift  uint // log2(Channels * lines per row)
+	bankShift  uint // log2(Banks)
+	bankMask   uint64
+	beatShift  uint // log2(bytes per DDR beat)
+	beatCycles uint64
+}
+
+// Decoder returns c's decoder. c must be valid.
+func (c Config) Decoder() Decoder {
+	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+	return Decoder{
+		chanMask:   uint64(c.Channels - 1),
+		lineShift:  log2(c.Channels) + log2(c.RowBufferBytes/LineBytes),
+		bankShift:  log2(c.Banks),
+		bankMask:   uint64(c.Banks - 1),
+		beatShift:  log2(c.BytesPerHalfBusCycle()),
+		beatCycles: (c.CPUPerBus() + 1) / 2,
+	}
+}
+
+// Decode maps a line address (module-local, 64 B units) to its channel, its
+// global bank index channel*Banks+bank, and its row within the bank. Lines
+// are interleaved across channels; within a channel, a full row's worth of
+// consecutive channel-lines share a bank and row so that streaming accesses
+// enjoy row-buffer locality.
+func (d Decoder) Decode(line uint64) (ch, bank int, row uint64) {
+	rowGlobal := line >> d.lineShift
+	ch = int(line & d.chanMask)
+	bank = ch<<d.bankShift | int(rowGlobal&d.bankMask)
+	return ch, bank, rowGlobal >> d.bankShift
+}
+
+// TransferCycles returns the CPU cycles the data bus is occupied moving
+// bytes bytes: whole DDR beats, and at least one cycle. bytes must not be
+// negative.
+func (d Decoder) TransferCycles(bytes int) uint64 {
+	beats := (uint64(bytes) + 1<<d.beatShift - 1) >> d.beatShift
+	if t := beats * d.beatCycles; t > 0 {
+		return t
+	}
+	return 1
+}
 
 // PeakBandwidthGBs returns the aggregate peak bandwidth in GB/s, used by the
 // Fig 3 specification table.

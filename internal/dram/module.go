@@ -5,19 +5,19 @@ package dram
 // target bank's and channel's busy-until times, so queueing delay emerges
 // from contention without a per-request event list.
 //
-// Module is not safe for concurrent use; the simulation engine serializes
-// accesses in global time order.
+// Module is not safe for concurrent use. Calls need not come in time order:
+// an organization may pass a probe's completion as at (CAMEO's serial
+// off-chip fetch, Alloy's miss path), so a call can carry an earlier at than
+// the call before it. Each call is timed against the busy-until state the
+// earlier calls left, so a bank serves requests in call order.
 type Module struct {
 	cfg Config
+	dec Decoder
 
-	cpuPerBus    uint64
-	tCAS         uint64 // CPU cycles
-	tRCD         uint64
-	tRP          uint64
-	tRAS         uint64
-	halfCycleCPU uint64 // CPU cycles per DDR beat
-	bytesPerBeat int
-	linesPerRow  uint64
+	tCAS uint64 // CPU cycles
+	tRCD uint64
+	tRP  uint64
+	tRAS uint64
 
 	banks []bankState // [channel*Banks + bank]
 	buses []uint64    // per-channel data bus busy-until
@@ -122,17 +122,14 @@ func New(cfg Config) (*Module, error) {
 	}
 	cpb := cfg.CPUPerBus()
 	m := &Module{
-		cfg:          cfg,
-		cpuPerBus:    cpb,
-		tCAS:         uint64(cfg.TCAS) * cpb,
-		tRCD:         uint64(cfg.TRCD) * cpb,
-		tRP:          uint64(cfg.TRP) * cpb,
-		tRAS:         uint64(cfg.TRAS) * cpb,
-		halfCycleCPU: (cpb + 1) / 2,
-		bytesPerBeat: cfg.BytesPerHalfBusCycle(),
-		linesPerRow:  uint64(cfg.RowBufferBytes / LineBytes),
-		banks:        make([]bankState, cfg.Channels*cfg.Banks),
-		buses:        make([]uint64, cfg.Channels),
+		cfg:   cfg,
+		dec:   cfg.Decoder(),
+		tCAS:  uint64(cfg.TCAS) * cpb,
+		tRCD:  uint64(cfg.TRCD) * cpb,
+		tRP:   uint64(cfg.TRP) * cpb,
+		tRAS:  uint64(cfg.TRAS) * cpb,
+		banks: make([]bankState, cfg.Channels*cfg.Banks),
+		buses: make([]uint64, cfg.Channels),
 	}
 	if cfg.RefreshEnabled {
 		m.refPeriod = uint64(cfg.TREFI) * cpb
@@ -142,7 +139,7 @@ func New(cfg Config) (*Module, error) {
 		m.writeBuf = true
 		m.drainThresh = cfg.WriteDrainThreshold
 		// Drains batch against open rows: CAS plus the line transfer.
-		m.writeCycles = m.tCAS + m.transferCycles(LineBytes)
+		m.writeCycles = m.tCAS + m.dec.TransferCycles(LineBytes)
 	}
 	return m, nil
 }
@@ -155,29 +152,6 @@ func (m *Module) Stats() Stats { return m.stats }
 
 // ResetStats zeroes the activity counters without touching timing state.
 func (m *Module) ResetStats() { m.stats = Stats{} }
-
-// locate maps a line address (module-local, 64 B units) to channel, bank and
-// row. Lines are interleaved across channels; within a channel, a full row's
-// worth of consecutive channel-lines share a bank and row so that streaming
-// accesses enjoy row-buffer locality.
-func (m *Module) locate(line uint64) (channel, bank int, row uint64) {
-	c := int(line % uint64(m.cfg.Channels))
-	cidx := line / uint64(m.cfg.Channels)
-	rowGlobal := cidx / m.linesPerRow
-	b := int(rowGlobal % uint64(m.cfg.Banks))
-	return c, b, rowGlobal / uint64(m.cfg.Banks)
-}
-
-// transferCycles returns the CPU cycles the data bus is occupied moving
-// `bytes` bytes (whole DDR beats).
-func (m *Module) transferCycles(bytes int) uint64 {
-	beats := uint64((bytes + m.bytesPerBeat - 1) / m.bytesPerBeat)
-	t := beats * m.halfCycleCPU
-	if t == 0 {
-		t = 1
-	}
-	return t
-}
 
 // Access times one request of `bytes` bytes to line address `line` arriving
 // at cycle `at`, updates bank/bus state and statistics, and returns the
@@ -192,8 +166,8 @@ func (m *Module) Access(at uint64, line uint64, bytes int, isWrite bool) uint64 
 		// inside the per-cell failure domain instead of crashing the sweep.
 		bytes = 0
 	}
-	ch, bk, row := m.locate(line)
-	bank := &m.banks[ch*m.cfg.Banks+bk]
+	ch, b, row := m.dec.Decode(line)
+	bank := &m.banks[b]
 
 	if m.writeBuf && isWrite {
 		// Park the write; it drains in idle time or on a forced drain.
@@ -267,7 +241,7 @@ func (m *Module) Access(at uint64, line uint64, bytes int, isWrite bool) uint64 
 	if m.buses[ch] > dataStart {
 		dataStart = m.buses[ch]
 	}
-	done := dataStart + m.transferCycles(bytes)
+	done := dataStart + m.dec.TransferCycles(bytes)
 	m.buses[ch] = done
 	bank.busyUntil = done
 
@@ -286,7 +260,7 @@ func (m *Module) Access(at uint64, line uint64, bytes int, isWrite bool) uint64 
 // read hitting a precharged (closed-row) bank with idle buses — a
 // characterization helper used in tests and the Fig 8 analytic model.
 func (m *Module) UnloadedReadLatency() uint64 {
-	return m.tRCD + m.tCAS + m.transferCycles(LineBytes)
+	return m.tRCD + m.tCAS + m.dec.TransferCycles(LineBytes)
 }
 
 // Device is the timing interface the memory organizations program against.

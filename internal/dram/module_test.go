@@ -21,6 +21,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BusWidthBits = 12 },
 		func(c *Config) { c.TCAS = 0 },
 		func(c *Config) { c.RowBufferBytes = 32 },
+		func(c *Config) { c.Channels = 12 },         // not a power of two
+		func(c *Config) { c.Banks = 6 },             // not a power of two
+		func(c *Config) { c.RowBufferBytes = 3072 }, // 48 lines per row
+		func(c *Config) { c.BusWidthBits = 24 },     // 3 bytes per beat
 	}
 	for i, mutate := range cases {
 		c := StackedConfig(1 << 20)
@@ -52,16 +56,16 @@ func TestPeakBandwidthRatio(t *testing.T) {
 func TestTransferCycles(t *testing.T) {
 	s := testStacked()
 	// Stacked: 16 B per beat, 1 CPU cycle per beat.
-	if got := s.transferCycles(64); got != 4 {
+	if got := s.dec.TransferCycles(64); got != 4 {
 		t.Errorf("stacked 64B transfer = %d cycles, want 4", got)
 	}
 	// The 80 B LEAD burst-of-five from the paper.
-	if got := s.transferCycles(80); got != 5 {
+	if got := s.dec.TransferCycles(80); got != 5 {
 		t.Errorf("stacked 80B transfer = %d cycles, want 5", got)
 	}
 	o := testOffChip()
 	// Off-chip: 8 B per beat, 2 CPU cycles per beat.
-	if got := o.transferCycles(64); got != 16 {
+	if got := o.dec.TransferCycles(64); got != 16 {
 		t.Errorf("offchip 64B transfer = %d cycles, want 16", got)
 	}
 }
@@ -105,8 +109,8 @@ func TestRowConflictSlower(t *testing.T) {
 	// bank 0 with a new row.
 	a := uint64(0)
 	b := chans * linesPerRow * banks
-	c0, b0, r0 := m.locate(a)
-	c1, b1, r1 := m.locate(b)
+	c0, b0, r0 := m.dec.Decode(a)
+	c1, b1, r1 := m.dec.Decode(b)
 	if c0 != c1 || b0 != b1 || r0 == r1 {
 		t.Fatalf("address stride does not produce a row conflict: (%d,%d,%d) vs (%d,%d,%d)",
 			c0, b0, r0, c1, b1, r1)
@@ -244,15 +248,50 @@ func TestLocateCoversAllChannelsAndBanks(t *testing.T) {
 	seenCh := map[int]bool{}
 	seenBk := map[int]bool{}
 	for line := uint64(0); line < 1<<16; line++ {
-		ch, bk, _ := m.locate(line)
+		ch, bk, _ := m.dec.Decode(line)
 		seenCh[ch] = true
-		seenBk[bk] = true
+		seenBk[bk%m.Config().Banks] = true
 	}
 	if len(seenCh) != m.Config().Channels {
 		t.Fatalf("channels used = %d, want %d", len(seenCh), m.Config().Channels)
 	}
 	if len(seenBk) != m.Config().Banks {
 		t.Fatalf("banks used = %d, want %d", len(seenBk), m.Config().Banks)
+	}
+}
+
+// TestDecodeMatchesDivisionForm pins the shift-and-mask decode to the
+// division form it replaced, for both Table I modules.
+func TestDecodeMatchesDivisionForm(t *testing.T) {
+	for _, cfg := range []Config{StackedConfig(4 << 20), OffChipConfig(12 << 20)} {
+		d := cfg.Decoder()
+		chans, banks := uint64(cfg.Channels), uint64(cfg.Banks)
+		linesPerRow := uint64(cfg.RowBufferBytes / LineBytes)
+		check := func(line uint64) bool {
+			rowGlobal := line / chans / linesPerRow
+			ch, bank, row := d.Decode(line)
+			return uint64(ch) == line%chans &&
+				uint64(bank) == uint64(ch)*banks+rowGlobal%banks &&
+				row == rowGlobal/banks
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		for line := uint64(0); line < 1<<14; line++ {
+			if !check(line) {
+				t.Fatalf("%s: line %d decodes differently", cfg.Name, line)
+			}
+		}
+		bpb, perBeat := cfg.BytesPerHalfBusCycle(), (cfg.CPUPerBus()+1)/2
+		for bytes := 0; bytes <= 4*LineBytes; bytes++ {
+			want := uint64((bytes+bpb-1)/bpb) * perBeat
+			if want == 0 {
+				want = 1
+			}
+			if got := d.TransferCycles(bytes); got != want {
+				t.Fatalf("%s: TransferCycles(%d) = %d, want %d", cfg.Name, bytes, got, want)
+			}
+		}
 	}
 }
 

@@ -1,24 +1,30 @@
 // Package memctrl implements a queued memory controller with FR-FCFS
 // scheduling — the second, higher-fidelity timing engine behind the
 // dram.Device interface. Where dram.Module services requests strictly in
-// arrival order per bank, this controller keeps a request queue and, each
+// call order per bank, this controller keeps a request queue and, each
 // time a bank can issue, picks first-ready (open-row hits), then
 // first-come; reads are prioritized over posted writes until a write-queue
 // watermark forces a drain.
 //
 // The controller operates lazily inside the synchronous Device interface:
-// every Access enqueues the request and then schedules queued work greedily
-// until the new request's completion is known (immediately, for posted
-// writes). Callers invoke Access in globally non-decreasing time order (the
-// simulation engine guarantees it), which is what makes the lazy schedule
-// equivalent to an online one.
+// a posted write joins the queue and returns a nominal completion at once,
+// and a read issues queued writes greedily until it is itself the pick, so
+// its completion is known when its Access returns. Between calls only
+// posted writes wait. Calls come in the order the organizations make them,
+// not in time order: an organization may pass a probe's completion as at
+// (CAMEO's serial off-chip fetch, Alloy's miss path), so a call can carry an
+// earlier at than a previous one, also on the same bank. Work issued by
+// earlier calls is never revisited, so such a request is scheduled against
+// the bank and bus state those calls left — the greedy schedule
+// approximates, rather than equals, an online one.
 //
-// Hot-path layout (DESIGN.md §Performance): requests carry their channel,
-// bank, and row decoded once at enqueue, so the per-issue pick scan is pure
-// compares over a value slice; the scan is bounded by queueCap. The queue
-// is a preallocated slice with O(1) swap-removal — selection is by a
-// totally ordered key (the sequence number breaks every tie), so storage
-// order is irrelevant and steady-state operation performs no allocation.
+// Hot-path layout (DESIGN.md §Performance): each bank chains its queued
+// writes and caches the pick key of the best of them, so an issue
+// rescans only the bank it changed, and choosing the next write scans one
+// cached key per bank that holds writes. Keys are totally ordered (the
+// sequence number breaks every tie), so storage order is irrelevant, and
+// all queue storage is preallocated: steady-state operation performs no
+// allocation.
 package memctrl
 
 import (
@@ -38,15 +44,31 @@ const writeDrainWatermark = 32
 // issued unconditionally (a real controller's full-queue backpressure).
 const queueCap = 128
 
-type request struct {
-	line    uint64
+// rowMiss is the tie-break bit that ranks a row miss after every row hit
+// that starts in the same cycle; the sequence number fills the bits below.
+const rowMiss = 1 << 63
+
+// write is one queued posted write, decoded at enqueue.
+type write struct {
 	row     uint64
 	arrival uint64
 	seq     uint64
-	bytes   int32
-	ch      int32 // channel, decoded at enqueue
-	bank    int32 // global bank index (ch*Banks+bank), decoded at enqueue
-	write   bool
+	xfer    uint64 // data-bus cycles of the transfer
+	ch      int32
+	next    int32 // next write queued on the same bank; -1 ends the chain
+}
+
+// best is the pick key of one bank's best queued write, before the write
+// bias: its effective start, then the row-miss bit over its sequence number.
+type best struct {
+	start uint64
+	tie   uint64
+	bank  int32
+	slot  int32
+}
+
+func (a *best) before(start, tie uint64) bool {
+	return a.start < start || (a.start == start && a.tie < tie)
 }
 
 type bankState struct {
@@ -54,28 +76,43 @@ type bankState struct {
 	hasOpen   bool
 	busyUntil uint64
 	lastAct   uint64
+	head      int32 // first queued write of the bank; -1 when none
+	active    int32 // index of the bank's entry in Controller.active
+}
+
+// key is pick's ordering key for a request to row arriving at arrival on
+// this bank, before the write bias: first-ready (earliest start, then open
+// row hits), then first-come.
+func (b *bankState) key(arrival, row, seq uint64) (start, tie uint64) {
+	start, tie = max(arrival, b.busyUntil), seq
+	if !b.hasOpen || b.openRow != row {
+		tie |= rowMiss
+	}
+	return start, tie
 }
 
 // Controller schedules requests over the same geometry and timing
 // parameters as dram.Module. It implements dram.Device.
 type Controller struct {
 	cfg dram.Config
+	dec dram.Decoder
 
-	cpuPerBus    uint64
-	tCAS         uint64
-	tRCD         uint64
-	tRP          uint64
-	tRAS         uint64
-	halfCycleCPU uint64
-	bytesPerBeat int
-	linesPerRow  uint64
+	tCAS uint64
+	tRCD uint64
+	tRP  uint64
+	tRAS uint64
 
 	banks []bankState
 	buses []uint64
 
-	queue   []request
-	nextSeq uint64
+	// Queued posted writes live in slots, chained per bank; free holds the
+	// unused slot indices, and active the best write of each bank that has
+	// one.
+	slots   []write
+	free    []int32
+	active  []best
 	writes  int // queued writes
+	nextSeq uint64
 
 	stats dram.Stats
 	// maxQueueDepth is the pending-queue high-water mark — the controller's
@@ -108,21 +145,28 @@ func NewController(cfg dram.Config) (*Controller, error) {
 		return nil, err
 	}
 	cpb := cfg.CPUPerBus()
-	return &Controller{
-		cfg:          cfg,
-		cpuPerBus:    cpb,
-		tCAS:         uint64(cfg.TCAS) * cpb,
-		tRCD:         uint64(cfg.TRCD) * cpb,
-		tRP:          uint64(cfg.TRP) * cpb,
-		tRAS:         uint64(cfg.TRAS) * cpb,
-		halfCycleCPU: (cpb + 1) / 2,
-		bytesPerBeat: cfg.BytesPerHalfBusCycle(),
-		linesPerRow:  uint64(cfg.RowBufferBytes / dram.LineBytes),
-		banks:        make([]bankState, cfg.Channels*cfg.Banks),
-		buses:        make([]uint64, cfg.Channels),
-		// One slot of headroom: Access appends before draining back to cap.
-		queue: make([]request, 0, queueCap+1),
-	}, nil
+	c := &Controller{
+		cfg:   cfg,
+		dec:   cfg.Decoder(),
+		tCAS:  uint64(cfg.TCAS) * cpb,
+		tRCD:  uint64(cfg.TRCD) * cpb,
+		tRP:   uint64(cfg.TRP) * cpb,
+		tRAS:  uint64(cfg.TRAS) * cpb,
+		banks: make([]bankState, cfg.Channels*cfg.Banks),
+		buses: make([]uint64, cfg.Channels),
+		// One slot of headroom: a write enqueues before the queue drains
+		// back to queueCap.
+		slots:  make([]write, queueCap+1),
+		free:   make([]int32, queueCap+1),
+		active: make([]best, 0, queueCap+1),
+	}
+	for i := range c.banks {
+		c.banks[i].head = -1
+	}
+	for i := range c.free {
+		c.free[i] = int32(queueCap - i)
+	}
+	return c, nil
 }
 
 // Config implements dram.Device.
@@ -134,36 +178,21 @@ func (c *Controller) Stats() dram.Stats { return c.stats }
 // ResetStats implements dram.Device.
 func (c *Controller) ResetStats() { c.stats = dram.Stats{} }
 
-// QueueDepth reports the pending request count, for tests.
-func (c *Controller) QueueDepth() int { return len(c.queue) }
+// QueueDepth reports the pending request count, for tests. Between calls
+// it equals QueuedWrites: a read never outlives its own Access.
+func (c *Controller) QueueDepth() int { return c.writes }
 
 // QueuedWrites reports the pending write count, for invariant tests.
 func (c *Controller) QueuedWrites() int { return c.writes }
 
-// MaxQueueDepth reports the pending-queue high-water mark.
+// MaxQueueDepth reports the pending-queue high-water mark, counting a read
+// while its Access schedules it.
 func (c *Controller) MaxQueueDepth() int { return c.maxQueueDepth }
 
 // RegisterExtraMetrics implements dram.ExtraMetrics: the controller's
 // scheduling-specific signals beyond the shared Stats counters.
 func (c *Controller) RegisterExtraMetrics(s *metrics.Scope) {
 	s.GaugeFunc("queue_max_depth", func() float64 { return float64(c.maxQueueDepth) })
-}
-
-func (c *Controller) locate(line uint64) (channel, bank int, row uint64) {
-	ch := int(line % uint64(c.cfg.Channels))
-	cidx := line / uint64(c.cfg.Channels)
-	rowGlobal := cidx / c.linesPerRow
-	b := int(rowGlobal % uint64(c.cfg.Banks))
-	return ch, b, rowGlobal / uint64(c.cfg.Banks)
-}
-
-func (c *Controller) transferCycles(bytes int32) uint64 {
-	beats := uint64((int(bytes) + c.bytesPerBeat - 1) / c.bytesPerBeat)
-	t := beats * c.halfCycleCPU
-	if t == 0 {
-		t = 1
-	}
-	return t
 }
 
 // Access implements dram.Device. It never panics: a non-positive size (a
@@ -174,111 +203,123 @@ func (c *Controller) Access(at uint64, line uint64, bytes int, isWrite bool) uin
 	if bytes < 0 {
 		bytes = 0
 	}
-	ch, bk, row := c.locate(line)
-	req := request{
-		line:    line,
-		row:     row,
-		arrival: at,
-		seq:     c.nextSeq,
-		bytes:   int32(bytes),
-		ch:      int32(ch),
-		bank:    int32(ch*c.cfg.Banks + bk),
-		write:   isWrite,
-	}
+	ch, bank, row := c.dec.Decode(line)
+	xfer := c.dec.TransferCycles(bytes)
+	seq := c.nextSeq
 	c.nextSeq++
-	c.queue = append(c.queue, req)
-	if len(c.queue) > c.maxQueueDepth {
-		c.maxQueueDepth = len(c.queue)
-	}
 	if isWrite {
-		c.writes++
+		c.enqueue(bank, write{row: row, arrival: at, seq: seq, xfer: xfer, ch: int32(ch)})
+		c.maxQueueDepth = max(c.maxQueueDepth, c.writes)
 		c.stats.Writes++
 		c.stats.BytesWritten += uint64(bytes)
-		// Posted: drain opportunistically; report a nominal completion.
-		c.drainIfPressed()
-		return at + c.tCAS + c.transferCycles(req.bytes)
+		// Posted: drain when the queue is pressed, bounding memory use on
+		// write-heavy streams; report a nominal completion.
+		for c.writes > queueCap {
+			c.issueWrite(c.bestWrite())
+		}
+		return at + c.tCAS + xfer
 	}
+	c.maxQueueDepth = max(c.maxQueueDepth, c.writes+1)
 	c.stats.Reads++
 	c.stats.BytesRead += uint64(bytes)
-	done := c.scheduleUntil(req.seq)
+	// Issue queued writes until the read is the pick: the minimum of
+	// (start + write bias, row miss, seq), where the bias lifts in drain
+	// mode. The bias is the same for every write, so the best write ranks
+	// first among writes either way.
+	b := &c.banks[bank]
+	for c.writes > 0 {
+		i := c.bestWrite()
+		w := c.active[i]
+		if c.writes < writeDrainWatermark {
+			w.start += writeBias
+		}
+		if !w.before(b.key(at, row, seq)) {
+			break
+		}
+		c.issueWrite(i)
+	}
+	done := c.service(b, ch, row, at, xfer)
+	if b.head >= 0 {
+		c.rescan(bank, -1)
+	}
 	c.stats.TotalReadLatency += done - at
 	return done
 }
 
-// drainIfPressed issues work when the queue is pressed, bounding memory use
-// on write-heavy streams.
-func (c *Controller) drainIfPressed() {
-	for len(c.queue) > queueCap {
-		c.issue(c.pick())
+// enqueue queues a posted write on bank.
+func (c *Controller) enqueue(bank int, w write) {
+	n := len(c.free) - 1
+	slot := c.free[n]
+	c.free = c.free[:n]
+	b := &c.banks[bank]
+	w.next = b.head
+	c.slots[slot] = w
+	start, tie := b.key(w.arrival, w.row, w.seq)
+	if b.head < 0 {
+		b.active = int32(len(c.active))
+		c.active = append(c.active, best{start: start, tie: tie, bank: int32(bank), slot: slot})
+	} else if a := &c.active[b.active]; !a.before(start, tie) {
+		a.start, a.tie, a.slot = start, tie, slot
+	}
+	b.head = slot
+	c.writes++
+}
+
+// bestWrite returns the index in active of the bank holding the best queued
+// write. There must be one.
+func (c *Controller) bestWrite() int {
+	bi := 0
+	for i := 1; i < len(c.active); i++ {
+		if c.active[i].before(c.active[bi].start, c.active[bi].tie) {
+			bi = i
+		}
+	}
+	return bi
+}
+
+// issueWrite issues the best write of the bank at active[i].
+func (c *Controller) issueWrite(i int) {
+	a := c.active[i]
+	w := &c.slots[a.slot]
+	c.service(&c.banks[a.bank], int(w.ch), w.row, w.arrival, w.xfer)
+	c.writes--
+	c.free = append(c.free, a.slot)
+	c.rescan(int(a.bank), a.slot)
+}
+
+// rescan recomputes bank's cached best write after an issue changed the
+// bank's state, unlinking slot drop (when not -1) from its chain on the way.
+// A bank left without writes leaves active.
+func (c *Controller) rescan(bank int, drop int32) {
+	b := &c.banks[bank]
+	a := &c.active[b.active]
+	link, found := &b.head, false
+	for s := b.head; s >= 0; s = c.slots[s].next {
+		w := &c.slots[s]
+		if s == drop {
+			*link = w.next
+			continue
+		}
+		link = &w.next
+		if start, tie := b.key(w.arrival, w.row, w.seq); !found || !a.before(start, tie) {
+			a.start, a.tie, a.slot, found = start, tie, s, true
+		}
+	}
+	if !found {
+		last := len(c.active) - 1
+		*a = c.active[last]
+		c.banks[a.bank].active = b.active
+		c.active = c.active[:last]
 	}
 }
 
-// scheduleUntil issues queued requests greedily until seq completes,
-// returning its completion cycle.
-func (c *Controller) scheduleUntil(seq uint64) uint64 {
-	for {
-		idx := c.pick()
-		done, s := c.issue(idx)
-		if s == seq {
-			return done
-		}
-	}
-}
-
-// pick selects the next request to issue: the minimum of
-// (readyTime, writeHandicap, rowMissPenalty, arrival) — first-ready
-// first-come with read priority, the FR-FCFS family's greedy form. The scan
-// is bounded by queueCap and touches only enqueue-decoded fields; the
-// sequence number makes the key a total order, so the minimum is unique and
-// independent of queue storage order.
-func (c *Controller) pick() int {
-	drain := c.writes >= writeDrainWatermark
-	best := -1
-	var bestStart, bestMiss, bestSeq uint64
-	for i := range c.queue {
-		r := &c.queue[i]
-		bank := &c.banks[r.bank]
-		start := r.arrival
-		if bank.busyUntil > start {
-			start = bank.busyUntil
-		}
-		if r.write && !drain {
-			start += writeBias
-		}
-		var miss uint64 = 1 // row miss
-		if bank.hasOpen && bank.openRow == r.row {
-			miss = 0
-		}
-		if best == -1 || start < bestStart ||
-			(start == bestStart && (miss < bestMiss ||
-				(miss == bestMiss && r.seq < bestSeq))) {
-			best, bestStart, bestMiss, bestSeq = i, start, miss, r.seq
-		}
-	}
-	return best
-}
-
-// issue runs the bank/bus timing for queue[idx], removes it, and returns
-// its completion and sequence number. Removal is O(1) swap-with-last:
-// pick's key is totally ordered, so scheduling never depends on storage
-// order.
-func (c *Controller) issue(idx int) (done, seq uint64) {
-	r := c.queue[idx]
-	last := len(c.queue) - 1
-	c.queue[idx] = c.queue[last]
-	c.queue = c.queue[:last]
-	if r.write {
-		c.writes--
-	}
-
-	bank := &c.banks[r.bank]
-	start := r.arrival
-	if bank.busyUntil > start {
-		start = bank.busyUntil
-	}
+// service runs the bank and bus timing of one request and returns its
+// completion cycle.
+func (c *Controller) service(bank *bankState, ch int, row, arrival, xfer uint64) uint64 {
+	start := max(arrival, bank.busyUntil)
 	var ready uint64
 	switch {
-	case bank.hasOpen && bank.openRow == r.row:
+	case bank.hasOpen && bank.openRow == row:
 		c.stats.RowHits++
 		ready = start + c.tCAS
 	case !bank.hasOpen:
@@ -296,14 +337,10 @@ func (c *Controller) issue(idx int) (done, seq uint64) {
 		ready = actStart + c.tRCD + c.tCAS
 	}
 	bank.hasOpen = true
-	bank.openRow = r.row
+	bank.openRow = row
 
-	dataStart := ready
-	if c.buses[r.ch] > dataStart {
-		dataStart = c.buses[r.ch]
-	}
-	done = dataStart + c.transferCycles(r.bytes)
-	c.buses[r.ch] = done
+	done := max(ready, c.buses[ch]) + xfer
+	c.buses[ch] = done
 	bank.busyUntil = done
-	return done, r.seq
+	return done
 }

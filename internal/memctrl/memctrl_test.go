@@ -181,8 +181,8 @@ func TestQueueWritesInvariantUnderPressure(t *testing.T) {
 	r := xrand.New(7)
 	countQueuedWrites := func() int {
 		n := 0
-		for i := range c.queue {
-			if c.queue[i].write {
+		for b := range c.banks {
+			for s := c.banks[b].head; s >= 0; s = c.slots[s].next {
 				n++
 			}
 		}
@@ -203,6 +203,77 @@ func TestQueueWritesInvariantUnderPressure(t *testing.T) {
 	}
 	if c.MaxQueueDepth() > queueCap+1 {
 		t.Fatalf("high-water mark %d exceeds cap headroom %d", c.MaxQueueDepth(), queueCap+1)
+	}
+}
+
+// diffStream feeds n requests to access. Its phases vary the write share
+// from read-heavy to pure write bursts long enough to cross the drain
+// watermark and fill the queue to queueCap; most lines fall on a few rows
+// of a few banks, so row hits and conflicts meet on shared banks; and about
+// a third of the calls carry an earlier arrival than the call before, as
+// calls from the organizations do.
+func diffStream(seed uint64, cfg dram.Config, n int, access func(at, line uint64, bytes int, write bool)) {
+	r := xrand.New(seed)
+	chans, banks := uint64(cfg.Channels), uint64(cfg.Banks)
+	linesPerRow := uint64(cfg.RowBufferBytes / dram.LineBytes)
+	var now uint64
+	writeShare := 0.3
+	for i := 0; i < n; i++ {
+		if i%400 == 0 {
+			writeShare = []float64{0.05, 0.3, 0.6, 0.9, 1}[r.Intn(5)]
+		}
+		line := uint64(r.Intn(1 << 20))
+		if r.Bool(0.8) {
+			rowGlobal := uint64(r.Intn(4))*banks + uint64(r.Intn(3))
+			line = (rowGlobal*linesPerRow+r.Uint64n(linesPerRow))*chans + uint64(r.Intn(2))
+		}
+		at := now
+		switch k := r.Intn(10); {
+		case k < 3:
+			at -= min(at, uint64(r.Intn(600)))
+		case k == 9:
+			now += uint64(r.Intn(2000))
+		default:
+			now += uint64(r.Intn(6))
+		}
+		bytes := 64
+		switch r.Intn(20) {
+		case 0:
+			bytes = 80
+		case 1:
+			bytes = 0
+		}
+		access(at, line, bytes, r.Bool(writeShare))
+	}
+}
+
+// TestControllerMatchesLinearScanReference pins the per-bank write queue to
+// the linear-scan controller it replaced: after every Access of seeded
+// streams on both Table I geometries, the completion cycle, Stats and queue
+// counters must be identical.
+func TestControllerMatchesLinearScanReference(t *testing.T) {
+	for _, cfg := range []dram.Config{dram.OffChipConfig(4 << 20), dram.StackedConfig(4 << 20)} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			c, ref := New(cfg), newRef(cfg)
+			n, drains := 0, 0
+			diffStream(seed, cfg, 20_000, func(at, line uint64, bytes int, write bool) {
+				n++
+				if !write && ref.writes >= writeDrainWatermark {
+					drains++
+				}
+				got, want := c.Access(at, line, bytes, write), ref.Access(at, line, bytes, write)
+				if got != want || c.Stats() != ref.stats || c.QueueDepth() != len(ref.queue) ||
+					c.QueuedWrites() != ref.writes || c.MaxQueueDepth() != ref.maxQueueDepth {
+					t.Fatalf("%s seed %d access %d (at %d line %d write %v): completion %d/%d, depth %d/%d, writes %d/%d, max depth %d/%d, stats\n%+v\n%+v",
+						cfg.Name, seed, n, at, line, write, got, want, c.QueueDepth(), len(ref.queue),
+						c.QueuedWrites(), ref.writes, c.MaxQueueDepth(), ref.maxQueueDepth, c.Stats(), ref.stats)
+				}
+			})
+			if ref.maxQueueDepth != queueCap+1 || drains == 0 {
+				t.Fatalf("%s seed %d: stream reached max depth %d and %d drain-mode reads; want queueCap pressure and drains",
+					cfg.Name, seed, ref.maxQueueDepth, drains)
+			}
+		}
 	}
 }
 
@@ -234,5 +305,27 @@ func BenchmarkControllerAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctrl.Access(uint64(i)*4, uint64(r.Intn(1<<16)), 64, r.Bool(0.3))
+	}
+}
+
+// BenchmarkControllerAccessDeepQueue times Access in the regime of an
+// FR-FCFS paper cell: a write-heavy stream whose posted writes keep about
+// writeDrainWatermark requests queued, so every read competes with a deep
+// write queue.
+func BenchmarkControllerAccessDeepQueue(b *testing.B) {
+	ctrl := testCtrl()
+	r := xrand.New(1)
+	at := uint64(0)
+	access := func() {
+		ctrl.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.7))
+		at += 4
+	}
+	for i := 0; i < 10_000; i++ {
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
 	}
 }

@@ -38,24 +38,3 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 		t.Fatal("no events fired")
 	}
 }
-
-// TestCancelSteadyStateAllocFree covers the other handle lifecycle: schedule
-// then cancel must also be allocation-free once the arena is warm (lazy heap
-// deletion means the stale entry is pruned later without allocating).
-func TestCancelSteadyStateAllocFree(t *testing.T) {
-	e := NewEngine()
-	noop := func(now Cycle) {}
-	for i := 0; i < 256; i++ {
-		e.Cancel(e.At(Cycle(i), noop))
-	}
-	for e.Step() {
-	}
-	at := e.Now()
-	allocs := testing.AllocsPerRun(1000, func() {
-		at++
-		e.Cancel(e.At(at, noop))
-	})
-	if allocs != 0 {
-		t.Fatalf("At+Cancel steady state allocates %.1f objects", allocs)
-	}
-}

@@ -7,44 +7,39 @@
 // global time order so that contention in the shared memory system is
 // observed consistently.
 //
-// The queue is a monomorphic 4-ary min-heap over value-type entries keyed
-// by (cycle, insertion sequence), with callbacks parked in a slot arena
-// recycled through a free list. Scheduling and firing are allocation-free
-// in steady state: no interface boxing, no per-event heap object (see
-// DESIGN.md §Performance). Cancellation is lazy — a cancelled entry stays
-// in the heap until it surfaces and is discarded by a generation check —
-// which keeps the sift paths free of index back-patching.
+// The queue is a calendar queue: one FIFO bucket per cycle over a window of
+// wheelSize cycles starting at Now, found through an occupancy bitmap, plus a
+// 4-ary min-heap for the rare events scheduled beyond the window (long
+// memory stalls and page-fault blocks). Events fire in (cycle, insertion
+// sequence) order: a bucket holds a single cycle and appends in sequence
+// order, and each step takes the smaller of the first bucket's head and the
+// far heap's top. Callbacks live in value-type nodes recycled through a free
+// list, so scheduling and firing are allocation-free in steady state (see
+// DESIGN.md §Performance).
 package sim
 
-import "sync/atomic"
+import "math/bits"
 
 // Cycle is a point in simulated time, in CPU cycles (3.2 GHz in the paper's
 // configuration). A uint64 cycle counter at 3.2 GHz lasts ~180 years of
 // simulated time, so overflow is not a practical concern.
 type Cycle = uint64
 
-// Event is a handle to a scheduled callback, valid for Cancel until the
-// event fires. The zero Event is invalid and Cancel ignores it.
-type Event struct {
-	slot int32  // arena index + 1; 0 marks the zero (invalid) handle
-	gen  uint32 // arena generation at scheduling time
-}
+// wheelSize is the calendar window in cycles. In the 32-core paper cells at
+// least 99% of At calls land within it (issue gaps and memory-latency
+// retries); each bucket costs 8 bytes of head and tail per engine.
+const (
+	wheelSize  = 1024
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
 
-// slot parks one scheduled callback. gen increments every time the slot is
-// released (fire or cancel), invalidating outstanding handles and any stale
-// heap entry still pointing here.
-type slot struct {
-	fn  func(now Cycle)
-	gen uint32
-}
-
-// entry is one heap element: the ordering key plus the slot reference. Keys
-// live inline so sift comparisons never chase the arena.
+// entry is one scheduled callback with its ordering key, inline so that
+// comparisons never chase a pointer. The far heap holds entries directly.
 type entry struct {
-	at   Cycle
-	seq  uint64 // insertion order; breaks ties deterministically
-	slot int32
-	gen  uint32
+	at  Cycle
+	seq uint64 // insertion order; breaks ties deterministically
+	fn  func(now Cycle)
 }
 
 func (a entry) before(b entry) bool {
@@ -54,13 +49,19 @@ func (a entry) before(b entry) bool {
 	return a.seq < b.seq
 }
 
+// node is an entry chained into a bucket.
+type node struct {
+	entry
+	next int32 // next node of the same bucket; meaningless at the tail
+}
+
 // Stats counts engine activity over the run.
 type Stats struct {
 	EventsFired uint64 // events dispatched by Step
-	MaxPending  uint64 // high-water mark of pending (live) events
+	MaxPending  uint64 // high-water mark of pending events
 }
 
-// preemptStride is how many events Run/RunUntil fire between polls of the
+// preemptStride is how many events Run fires between polls of the
 // cancellation channel. One poll per event would put a channel operation on
 // the hottest loop in the simulator; one poll per stride keeps the check
 // amortized to a fraction of a nanosecond per event while bounding the
@@ -71,14 +72,18 @@ const preemptStride = 4096
 type Engine struct {
 	now     Cycle
 	nextSeq uint64
-	heap    []entry
-	slots   []slot
-	free    []int32 // recycled arena indices
-	pending int     // live (non-cancelled) scheduled events
+	pending int
 
-	// stopped is written by Stop, possibly from another goroutine (a
-	// watchdog or signal handler), and polled by the run loops.
-	stopped atomic.Bool
+	// Bucket b holds the events of the one cycle c in [now, now+wheelSize)
+	// with c&wheelMask == b, chained head to tail through nodes; its bit in
+	// occupied is set while the chain is non-empty.
+	head     [wheelSize]int32
+	tail     [wheelSize]int32
+	occupied [wheelWords]uint64
+	nodes    []node
+	free     []int32 // recycled node indices
+
+	far []entry // 4-ary min-heap of events beyond the window
 
 	// Cooperative cancellation: done is polled every preemptStride events;
 	// countdown and preempted are owned by the run-loop goroutine.
@@ -97,89 +102,65 @@ func NewEngine() *Engine {
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return e.pending }
-
 // At schedules fn to run at cycle at. Scheduling in the past is a
 // programming error and panics: time in a discrete-event simulation must be
 // monotone or results are not reproducible.
-func (e *Engine) At(at Cycle, fn func(now Cycle)) Event {
+func (e *Engine) At(at Cycle, fn func(now Cycle)) {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
+	}
+	seq := e.nextSeq
+	e.nextSeq++
+	if e.pending++; uint64(e.pending) > e.stats.MaxPending {
+		e.stats.MaxPending = uint64(e.pending)
+	}
+	if at-e.now >= wheelSize {
+		e.push(entry{at: at, seq: seq, fn: fn})
+		return
 	}
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		e.slots = append(e.slots, slot{})
-		idx = int32(len(e.slots) - 1)
+		e.nodes = append(e.nodes, node{})
+		idx = int32(len(e.nodes) - 1)
 	}
-	s := &e.slots[idx]
-	s.fn = fn
-	e.push(entry{at: at, seq: e.nextSeq, slot: idx, gen: s.gen})
-	e.nextSeq++
-	e.pending++
-	if n := uint64(e.pending); n > e.stats.MaxPending {
-		e.stats.MaxPending = n
+	e.nodes[idx] = node{entry: entry{at: at, seq: seq, fn: fn}}
+	b := at & wheelMask
+	if w, bit := b>>6, uint64(1)<<(b&63); e.occupied[w]&bit == 0 {
+		e.occupied[w] |= bit
+		e.head[b] = idx
+	} else {
+		e.nodes[e.tail[b]].next = idx
 	}
-	return Event{slot: idx + 1, gen: s.gen}
+	e.tail[b] = idx
 }
 
 // Stats returns a snapshot of the engine's activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func(now Cycle)) Event {
-	return e.At(e.now+delay, fn)
+func (e *Engine) After(delay Cycle, fn func(now Cycle)) {
+	e.At(e.now+delay, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling the zero Event, or one that
-// already fired or was already cancelled, is a no-op. The heap entry is
-// discarded lazily when it reaches the front.
-func (e *Engine) Cancel(ev Event) {
-	if ev.slot == 0 {
-		return
-	}
-	idx := ev.slot - 1
-	s := &e.slots[idx]
-	if s.gen != ev.gen || s.fn == nil {
-		return
-	}
-	e.release(idx)
-	e.pending--
-}
-
-// release invalidates slot idx and returns it to the free list.
-func (e *Engine) release(idx int32) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.gen++
-	e.free = append(e.free, idx)
-}
-
-// Stop makes Run return after the current event completes. It is safe to
-// call from another goroutine; the run loops observe it at the next event
-// boundary.
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// SetCancel binds a cancellation channel (normally ctx.Done()) to the run
-// loops: Run and RunUntil poll it every preemptStride events and return
-// early once it is closed. A nil channel (the default) disables polling
-// entirely, so engines that never need preemption pay nothing. The first
-// poll happens before the first event, so a run bound to an
-// already-cancelled context fires no events at all.
+// SetCancel binds a cancellation channel (normally ctx.Done()) to Run: it
+// polls the channel every preemptStride events and returns early once it
+// is closed. A nil channel (the default) disables polling entirely, so
+// engines that never need preemption pay nothing. The first poll happens
+// before the first event, so a run bound to an already-cancelled context
+// fires no events at all.
 func (e *Engine) SetCancel(done <-chan struct{}) {
 	e.done = done
 	e.countdown = 1
 }
 
-// Preempted reports whether the last Run/RunUntil returned because the
-// cancellation channel closed (as opposed to draining the queue, reaching
-// the limit, or Stop).
+// Preempted reports whether the last Run returned because the cancellation
+// channel closed (as opposed to draining the queue).
 func (e *Engine) Preempted() bool { return e.preempted }
 
-// cancelled is the run loops' per-iteration preemption check: a countdown
+// cancelled is the run loop's per-iteration preemption check: a countdown
 // decrement on the fast path, a non-blocking channel poll every
 // preemptStride events.
 func (e *Engine) cancelled() bool {
@@ -199,29 +180,19 @@ func (e *Engine) cancelled() bool {
 	}
 }
 
-// next pops heap entries until a live one surfaces, returning (entry, true),
-// or (zero, false) when the queue is exhausted. Stale entries belong to
-// cancelled events and are discarded.
-func (e *Engine) next() (entry, bool) {
-	for len(e.heap) > 0 {
-		head := e.heap[0]
-		e.pop()
-		if e.slots[head.slot].gen == head.gen {
-			return head, true
-		}
+// firstBucket returns the occupied bucket holding the earliest cycle of the
+// window, scanning the bitmap circularly from now's bucket.
+func (e *Engine) firstBucket() (Cycle, bool) {
+	start := e.now & wheelMask
+	w := start >> 6
+	if m := e.occupied[w] >> (start & 63); m != 0 {
+		return start + Cycle(bits.TrailingZeros64(m)), true
 	}
-	return entry{}, false
-}
-
-// peekAt reports the cycle of the earliest live event. Stale (cancelled)
-// heads are pruned on the way.
-func (e *Engine) peekAt() (Cycle, bool) {
-	for len(e.heap) > 0 {
-		head := e.heap[0]
-		if e.slots[head.slot].gen == head.gen {
-			return head.at, true
+	for i := Cycle(1); i <= wheelWords; i++ {
+		wi := (w + i) & (wheelWords - 1)
+		if m := e.occupied[wi]; m != 0 {
+			return wi<<6 + Cycle(bits.TrailingZeros64(m)), true
 		}
-		e.pop()
 	}
 	return 0, false
 }
@@ -229,51 +200,45 @@ func (e *Engine) peekAt() (Cycle, bool) {
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
 func (e *Engine) Step() bool {
-	head, ok := e.next()
-	if !ok {
+	var fn func(now Cycle)
+	b, ok := e.firstBucket()
+	if ok && (len(e.far) == 0 || e.nodes[e.head[b]].before(e.far[0])) {
+		idx := e.head[b]
+		n := &e.nodes[idx]
+		e.now, fn = n.at, n.fn
+		n.fn = nil
+		if idx == e.tail[b] {
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		} else {
+			e.head[b] = n.next
+		}
+		e.free = append(e.free, idx)
+	} else if len(e.far) > 0 {
+		top := e.far[0]
+		e.pop()
+		e.now, fn = top.at, top.fn
+	} else {
 		return false
 	}
-	fn := e.slots[head.slot].fn
-	e.release(head.slot)
 	e.pending--
-	e.now = head.at
 	e.stats.EventsFired++
 	fn(e.now)
 	return true
 }
 
-// Run processes events in time order until the queue drains, Stop is
-// called, or the cancellation channel bound with SetCancel closes. It
-// returns the final cycle; Preempted distinguishes cancellation from a
-// drained queue.
+// Run processes events in time order until the queue drains or the
+// cancellation channel bound with SetCancel closes. It returns the final
+// cycle; Preempted distinguishes cancellation from a drained queue.
 func (e *Engine) Run() Cycle {
-	e.stopped.Store(false)
 	e.preempted = false
-	for !e.stopped.Load() && !e.cancelled() && e.Step() {
+	for !e.cancelled() && e.Step() {
 	}
 	return e.now
 }
 
-// RunUntil processes events with At <= limit. Events beyond the limit remain
-// queued. Returns the clock, which is min(limit, last fired event) when the
-// queue still has later events. Like Run, it honours Stop and the
-// SetCancel channel.
-func (e *Engine) RunUntil(limit Cycle) Cycle {
-	e.stopped.Store(false)
-	e.preempted = false
-	for !e.stopped.Load() && !e.cancelled() {
-		at, ok := e.peekAt()
-		if !ok || at > limit {
-			break
-		}
-		e.Step()
-	}
-	return e.now
-}
-
-// push appends v and sifts it up the 4-ary heap.
+// push appends v and sifts it up the 4-ary far heap.
 func (e *Engine) push(v entry) {
-	h := append(e.heap, v)
+	h := append(e.far, v)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -284,18 +249,18 @@ func (e *Engine) push(v entry) {
 		i = parent
 	}
 	h[i] = v
-	e.heap = h
+	e.far = h
 }
 
-// pop removes the minimum (root) entry, restoring heap order by sifting the
-// displaced tail element down. Four children per node halve the tree depth
-// of a binary heap, which is what the pop-dominated simulation loop pays for.
+// pop removes the far heap's minimum (root) entry, restoring heap order by
+// sifting the displaced tail element down.
 func (e *Engine) pop() {
-	h := e.heap
+	h := e.far
 	n := len(h) - 1
 	v := h[n]
+	h[n] = entry{} // drop the callback reference
 	h = h[:n]
-	e.heap = h
+	e.far = h
 	if n == 0 {
 		return
 	}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,79 +76,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.At(50, func(Cycle) {})
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func(Cycle) { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	e.Cancel(ev)
-	ev2 := e.At(20, func(Cycle) {})
-	e.Run()
-	e.Cancel(ev2)
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	var evs []Event
-	for i := 0; i < 10; i++ {
-		i := i
-		evs = append(evs, e.At(Cycle(i*10), func(Cycle) { fired = append(fired, i) }))
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	if len(fired) != 8 {
-		t.Fatalf("fired %d events, want 8: %v", len(fired), fired)
-	}
-	for _, v := range fired {
-		if v == 4 || v == 7 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i), func(Cycle) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("processed %d events before stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Cycle(i*10), func(Cycle) { count++ })
-	}
-	e.RunUntil(45)
-	if count != 4 {
-		t.Fatalf("RunUntil(45) fired %d events, want 4", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("total fired %d, want 10", count)
-	}
-}
-
 func TestStepOnEmptyQueue(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {
@@ -174,6 +104,118 @@ func TestClockNeverGoesBackward(t *testing.T) {
 	}
 }
 
+// refEngine is the reference the calendar queue is checked against: a list
+// kept sorted by cycle with a stable sort, so same-cycle events stay in the
+// order they were scheduled.
+type refEngine struct {
+	now   Cycle
+	queue []refEvent
+	stats Stats
+}
+
+type refEvent struct {
+	at Cycle
+	fn func(now Cycle)
+}
+
+func (r *refEngine) At(at Cycle, fn func(now Cycle)) {
+	if at < r.now {
+		panic("ref: event scheduled in the past")
+	}
+	r.queue = append(r.queue, refEvent{at, fn})
+	slices.SortStableFunc(r.queue, func(a, b refEvent) int { return cmp.Compare(a.at, b.at) })
+	r.stats.MaxPending = max(r.stats.MaxPending, uint64(len(r.queue)))
+}
+
+func (r *refEngine) Run() Cycle {
+	for len(r.queue) > 0 {
+		v := r.queue[0]
+		r.queue = r.queue[1:]
+		r.now = v.at
+		r.stats.EventsFired++
+		v.fn(r.now)
+	}
+	return r.now
+}
+
+// firing is one fired event as a differential run observes it.
+type firing struct {
+	id  int
+	now Cycle
+}
+
+// randomSchedule drives a schedule through at, which is either engine's At:
+// a seeded burst of initial events, then callbacks that schedule more from
+// inside the run. Delays mix same-cycle ties, short gaps, the edges of the
+// calendar window and far page-fault-sized jumps, so events cross between
+// the buckets and the far heap in both directions of the tie-break.
+func randomSchedule(seed int64, now func() Cycle, at func(Cycle, func(Cycle))) *[]firing {
+	rng := rand.New(rand.NewSource(seed))
+	log := &[]firing{}
+	delay := func() Cycle {
+		switch k := rng.Intn(16); {
+		case k < 3:
+			return 0
+		case k < 10:
+			return Cycle(rng.Intn(300))
+		case k < 13:
+			return wheelSize - 2 + Cycle(rng.Intn(4))
+		case k < 15:
+			return Cycle(rng.Intn(4 * wheelSize))
+		default:
+			return 100_000 + Cycle(rng.Intn(3))
+		}
+	}
+	budget := 4000
+	var schedule func(id int)
+	schedule = func(id int) {
+		at(now()+delay(), func(t Cycle) {
+			*log = append(*log, firing{id, t})
+			if t != now() {
+				panic("callback argument differs from Now")
+			}
+			for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+				budget--
+				schedule(4000 - budget)
+			}
+		})
+	}
+	for i := 0; i < 64; i++ {
+		schedule(-1 - i)
+	}
+	return log
+}
+
+// TestCalendarQueueMatchesSortedReference pins the calendar queue's
+// exactness: for random schedules it fires the same events in the same
+// order at the same cycles as a sorted-list reference, and reports the
+// same final clock, EventsFired and MaxPending.
+func TestCalendarQueueMatchesSortedReference(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		e := NewEngine()
+		got := randomSchedule(seed, e.Now, e.At)
+		end := e.Run()
+
+		r := &refEngine{}
+		want := randomSchedule(seed, func() Cycle { return r.now }, r.At)
+		refEnd := r.Run()
+
+		if !slices.Equal(*got, *want) {
+			i := 0
+			for i < min(len(*got), len(*want)) && (*got)[i] == (*want)[i] {
+				i++
+			}
+			t.Fatalf("seed %d: fire order diverges at event %d of %d/%d", seed, i, len(*got), len(*want))
+		}
+		if end != refEnd || e.Now() != refEnd {
+			t.Fatalf("seed %d: final clock %d (Now %d), reference %d", seed, end, e.Now(), refEnd)
+		}
+		if e.Stats() != r.stats {
+			t.Fatalf("seed %d: stats %+v, reference %+v", seed, e.Stats(), r.stats)
+		}
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -182,5 +224,37 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			e.At(Cycle(j%17), func(Cycle) {})
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkScheduleAndRunSteady times one event of the regime a 32-core
+// cell runs in: a long-lived engine with one self-rescheduling chain per
+// core, gaps of up to a few hundred cycles and an occasional
+// page-fault-sized block beyond the calendar window.
+func BenchmarkScheduleAndRunSteady(b *testing.B) {
+	e := NewEngine()
+	const chains = 32
+	for i := 0; i < chains; i++ {
+		x := uint32(2*i + 1)
+		var f func(now Cycle)
+		f = func(now Cycle) {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			gap := Cycle(x % 300)
+			if x%1024 == 0 {
+				gap = 100_000
+			}
+			e.At(now+gap, f)
+		}
+		e.At(Cycle(i), f)
+	}
+	for i := 0; i < 100_000; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }
