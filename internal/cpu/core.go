@@ -139,7 +139,8 @@ func (c *Core) Start() {
 	c.eng.At(c.eng.Now()+c.gapCycles(c.pending.Gap), c.issueFn)
 }
 
-// fetch pulls the next request unless the budget is exhausted.
+// fetch pulls the next request unless the budget is exhausted. Record
+// applies the same cut, so the two must change together.
 func (c *Core) fetch() {
 	if c.retired >= c.cfg.Budget {
 		c.havePending = false
@@ -147,6 +148,25 @@ func (c *Core) fetch() {
 	}
 	c.pending = c.stream.Next()
 	c.havePending = true
+}
+
+// Record reads from src exactly the requests a core with this instruction
+// budget fetches, and returns them for replay. The cut is fetch's: a core
+// keeps reading until the gaps of the demands it has issued reach the
+// budget, and writebacks retire nothing. No timing enters the rule, so
+// the prefix is the same on every memory organization.
+func Record(src workload.Source, budget uint64) (*workload.Recording, error) {
+	var w workload.Recorder
+	for retired := uint64(0); retired < budget; {
+		req := src.Next()
+		if err := w.Add(req); err != nil {
+			return nil, err
+		}
+		if !req.Write {
+			retired += req.Gap
+		}
+	}
+	return w.Finish(), nil
 }
 
 // slotFree returns (true, _) when an MLP slot is free at now, else

@@ -83,11 +83,17 @@ func IDs() []string {
 // contribute nothing; any cells they compute at render time are still
 // cached, just not tracked in the manifest.
 func PlannedJobs(s *Suite, exps []Experiment) []runner.Job {
-	var jobs []runner.Job
-	for _, e := range exps {
+	plans := make([][]runner.Job, len(exps))
+	n := 0
+	for i, e := range exps {
 		if e.Plan != nil {
-			jobs = append(jobs, e.Plan(s)...)
+			plans[i] = e.Plan(s)
+			n += len(plans[i])
 		}
+	}
+	jobs := make([]runner.Job, 0, n)
+	for _, p := range plans {
+		jobs = append(jobs, p...)
 	}
 	return jobs
 }

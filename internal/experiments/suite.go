@@ -280,8 +280,8 @@ func (s *Suite) cameoCfg(llt cameo.LLTKind, pred cameo.PredKind) system.Config {
 // planSpeedup declares the grid a speedupTable over cols pulls: the
 // baseline plus every column config, for every benchmark.
 func (s *Suite) planSpeedup(cols []column) []runner.Job {
-	var jobs []runner.Job
-	for _, spec := range s.benchmarks() {
+	jobs := make([]runner.Job, 0, len(s.specs)*(1+len(cols)))
+	for _, spec := range s.specs {
 		jobs = append(jobs, runner.NewJob(spec, s.sysConfig(system.Baseline)))
 		for _, c := range cols {
 			jobs = append(jobs, runner.NewJob(spec, c.cfg))
@@ -292,8 +292,8 @@ func (s *Suite) planSpeedup(cols []column) []runner.Job {
 
 // planConfigs declares benchmarks x cfgs (no implicit baseline).
 func (s *Suite) planConfigs(cfgs []system.Config) []runner.Job {
-	var jobs []runner.Job
-	for _, spec := range s.benchmarks() {
+	jobs := make([]runner.Job, 0, len(s.specs)*len(cfgs))
+	for _, spec := range s.specs {
 		for _, cfg := range cfgs {
 			jobs = append(jobs, runner.NewJob(spec, cfg))
 		}

@@ -124,14 +124,20 @@ func (j Job) Run() system.Result {
 // loop cooperatively and comes back as a *CancelledError (never Permanent:
 // the configuration was fine, the run was interrupted).
 func (j Job) TryRun(ctx context.Context) (system.Result, error) {
+	return j.tryRun(ctx, nil)
+}
+
+// tryRun is TryRun with the cores replaying rec, which must be nil or a
+// recording of the job's streams (system.Record).
+func (j Job) tryRun(ctx context.Context, rec *system.Recording) (system.Result, error) {
 	var (
 		res system.Result
 		err error
 	)
 	if len(j.Specs) == 1 {
-		res, err = system.TryRun(ctx, j.Specs[0], j.Cfg)
+		res, err = rec.TryRun(ctx, j.Specs[0], j.Cfg)
 	} else {
-		res, err = system.TryRunMix(ctx, j.Specs, j.Cfg)
+		res, err = rec.TryRunMix(ctx, j.Specs, j.Cfg)
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -96,6 +96,10 @@ type Runner struct {
 	abandoned    *metrics.Counter
 	failures     *metrics.Counter
 	cellWallHist *metrics.Histogram
+
+	// record builds the recording a plan's cells share (system.Record;
+	// tests wrap it to count and track recordings).
+	record func(context.Context, Job) (*system.Recording, error)
 }
 
 // call is one in-flight singleflight execution.
@@ -117,6 +121,9 @@ func New(opts Options) *Runner {
 		cells:    map[string]cellInfo{},
 		failed:   map[string]CellFailure{},
 		reg:      metrics.NewRegistry(),
+		record: func(ctx context.Context, j Job) (*system.Recording, error) {
+			return system.Record(ctx, j.Specs, j.Cfg)
+		},
 	}
 	sc := r.reg.Scope("runner")
 	r.executed = sc.Counter("cells_executed")
@@ -152,6 +159,13 @@ func (r *Runner) CacheHitCells() uint64 { return r.cacheHits.Value() }
 // the worker is reclaimed. A waiter that arrived later and is cancelled
 // merely stops waiting; the cell keeps computing for the others.
 func (r *Runner) Get(ctx context.Context, j Job) (system.Result, error) {
+	return r.get(ctx, j, nil)
+}
+
+// get is Get for a cell of a RunAll plan, which replays ps's recording
+// when it executes the cell; ps is nil outside a plan and for identities
+// the plan uses once.
+func (r *Runner) get(ctx context.Context, j Job, ps *planStream) (system.Result, error) {
 	key := j.Key()
 	r.mu.Lock()
 	if res, ok := r.done[key]; ok {
@@ -176,7 +190,7 @@ func (r *Runner) Get(ctx context.Context, j Job) (system.Result, error) {
 	r.inflight[key] = c
 	r.mu.Unlock()
 
-	c.res, c.err = r.execute(ctx, j)
+	c.res, c.err = r.execute(ctx, j, ps)
 
 	r.mu.Lock()
 	delete(r.inflight, key)
@@ -194,7 +208,7 @@ func (r *Runner) Get(ctx context.Context, j Job) (system.Result, error) {
 // failure map; a cancelled cell is not — cancellation is the sweep's
 // verdict, not the cell's; a cell that succeeds is stored to the cache and
 // marked in the checkpoint.
-func (r *Runner) execute(ctx context.Context, j Job) (system.Result, error) {
+func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Result, error) {
 	key, name, hash := j.Key(), j.Name(), j.Hash()
 	if r.opts.Cache != nil {
 		if cached, ok := r.opts.Cache.Load(hash); ok {
@@ -222,7 +236,7 @@ func (r *Runner) execute(ctx context.Context, j Job) (system.Result, error) {
 			r.cancelled.Inc()
 			return system.Result{}, &CancelledError{Name: name, Cause: err}
 		}
-		res, wall, err := r.attempt(ctx, j, name, key, attempt)
+		res, wall, err := r.attempt(ctx, j, name, key, attempt, ps)
 		if err == nil {
 			r.executed.Inc()
 			r.cellWallHist.Observe(uint64(wall.Milliseconds()))
@@ -281,7 +295,7 @@ type attemptResult struct {
 // goroutine, and its machine memory instead of leaking them. Panics (real
 // or injected) become PanicError; injected hangs and stalls park until
 // cancellation wakes them.
-func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt int) (system.Result, time.Duration, error) {
+func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt int, ps *planStream) (system.Result, time.Duration, error) {
 	actx := ctx
 	cancel := context.CancelFunc(func() {})
 	if r.opts.JobTimeout > 0 {
@@ -330,7 +344,7 @@ func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt i
 			}
 			ar.res = r.opts.Execute(actx, j)
 		} else {
-			ar.res, ar.err = j.TryRun(actx)
+			ar.res, ar.err = j.tryRun(actx, ps.recording(actx, j, r.record))
 		}
 		ar.wall = time.Since(start)
 		ch <- ar
@@ -458,15 +472,21 @@ func retryBackoff(base time.Duration, attempt int, key string) time.Duration {
 // Without KeepGoing, per-cell errors are collected and joined without
 // stopping other cells; with KeepGoing, failed cells are quarantined into
 // a FailureReport and RunAll returns a *FailedCellsError describing them.
+// Cells of the plan that consume the same request streams share one
+// recording of them (see planStreams); it is freed once the last of them
+// finishes, and never outlives RunAll.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 	unique := make([]Job, 0, len(jobs))
+	keys := make([]string, 0, len(jobs))
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		if k := j.Key(); !seen[k] {
 			seen[k] = true
 			unique = append(unique, j)
+			keys = append(keys, k)
 		}
 	}
+	streams := r.planStreams(unique, keys)
 
 	r.mu.Lock()
 	r.total = len(unique)
@@ -482,7 +502,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 		workers = 1
 	}
 
-	feed := make(chan Job)
+	feed := make(chan int)
 	var (
 		wg    sync.WaitGroup
 		errMu sync.Mutex
@@ -492,11 +512,12 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range feed {
+			for i := range feed {
 				if ctx.Err() != nil {
 					continue // drain the feed without starting new cells
 				}
-				_, err := r.Get(ctx, j)
+				_, err := r.get(ctx, unique[i], streams[i])
+				streams[i].release()
 				if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 					errMu.Lock()
 					errs = append(errs, err)
@@ -506,8 +527,8 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 			}
 		}()
 	}
-	for _, j := range unique {
-		feed <- j
+	for i := range unique {
+		feed <- i
 	}
 	close(feed)
 	wg.Wait()

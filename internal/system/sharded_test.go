@@ -143,7 +143,7 @@ func newShardedMachine(tb testing.TB, shards int) *machine {
 	tb.Helper()
 	spec := milcSpec(tb)
 	cfg := shardedTestConfig(shards).WithDefaults()
-	m, err := newMachine([]workload.Spec{spec, spec}, cfg)
+	m, err := newMachine([]workload.Spec{spec, spec}, cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -91,7 +91,6 @@ type machine struct {
 	l3      *cache.L3
 	tlbs    []*tlb.TLB
 	cores   []*cpu.Core
-	streams []*workload.Stream
 	dropped uint64
 	lat     stats.Hist
 
@@ -109,25 +108,23 @@ func geometry(cfg Config) (visibleLines, stackedLines uint64) {
 	return d.Geometry(cfg.buildEnv())
 }
 
-// newMachine wires up the system; specs assigns one benchmark per core
-// (rate mode repeats the same spec everywhere). Invalid specs or
-// configurations are reported as errors, so a bad sweep cell fails that
-// cell rather than the whole process.
-func newMachine(specs []workload.Spec, cfg Config) (*machine, error) {
-	if len(specs) != cfg.Cores {
-		return nil, fmt.Errorf("system: %d specs for %d cores", len(specs), cfg.Cores)
-	}
-	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := cfg.Validate(); err != nil {
+// newMachine wires up the system; core i runs mix[i mod len(mix)] (rate
+// mode passes one spec). The cores replay rec when it is non-nil and
+// generate their streams live otherwise. Invalid specs or configurations
+// are reported as errors, so a bad sweep cell fails that cell rather than
+// the whole process.
+func newMachine(mix []workload.Spec, cfg Config, rec *Recording) (*machine, error) {
+	if err := validate(mix, cfg); err != nil {
 		return nil, err
 	}
 	desc, ok := memorg.ByKind(int(cfg.Org))
 	if !ok {
 		return nil, fmt.Errorf("system: unknown organization %v", cfg.Org)
+	}
+	if rec != nil {
+		if key := StreamKey(mix, cfg); rec.key != key {
+			return nil, fmt.Errorf("system: recording of streams %q replayed for %q", rec.key, key)
+		}
 	}
 	m := &machine{cfg: cfg, eng: sim.NewEngine()}
 
@@ -136,8 +133,12 @@ func newMachine(specs []workload.Spec, cfg Config) (*machine, error) {
 	vmCfg.Seed = cfg.Seed
 	m.vmm = vm.New(vmCfg, cfg.Cores)
 
-	for core := 0; core < cfg.Cores; core++ {
-		m.streams = append(m.streams, workload.NewStream(specs[core], cfg.ScaleDiv, core, cfg.Seed))
+	// A replayed run builds streams only for the oracle's hot-page list.
+	var streams []*workload.Stream
+	if rec == nil || desc.OracleHotPages {
+		for core := 0; core < cfg.Cores; core++ {
+			streams = append(streams, workload.NewStream(mix[core%len(mix)], cfg.ScaleDiv, core, cfg.Seed))
+		}
 	}
 
 	org, err := buildOrg(desc, cfg, m.vmm, visibleLines, stackedLines)
@@ -148,7 +149,7 @@ func newMachine(specs []workload.Spec, cfg Config) (*machine, error) {
 	m.shard, _ = org.(*shardedOrg)
 
 	if desc.OracleHotPages {
-		m.installOraclePlacement(stackedLines)
+		m.installOraclePlacement(streams, stackedLines)
 	}
 	if cfg.UseL3 {
 		m.l3 = cache.NewL3(cache.L3Config((32 << 20) / cfg.ScaleDiv))
@@ -160,15 +161,39 @@ func newMachine(specs []workload.Spec, cfg Config) (*machine, error) {
 	}
 
 	for core := 0; core < cfg.Cores; core++ {
-		cc := cpu.DefaultConfig(core, specs[core].MLP, cfg.InstrPerCore)
+		var src workload.Source
+		if rec != nil {
+			src = rec.cores[core].Replay()
+		} else {
+			src = streams[core]
+		}
+		cc := cpu.DefaultConfig(core, mix[core%len(mix)].MLP, cfg.InstrPerCore)
 		cc.Warmup = cfg.WarmupInstr
-		c := cpu.New(cc, m.eng, m.streams[core], m.memFunc)
+		c := cpu.New(cc, m.eng, src, m.memFunc)
 		if cfg.WarmupInstr > 0 {
 			c.OnWarm = m.onWarm
 		}
 		m.cores = append(m.cores, c)
 	}
 	return m, nil
+}
+
+// validate reports an empty or invalid mix and an invalid configuration.
+// It checks the configuration before anything is sized by cfg.Cores: a
+// negative core count must be a config error, not a makeslice panic.
+func validate(mix []workload.Spec, cfg Config) error {
+	if len(mix) == 0 {
+		return fmt.Errorf("system: empty mix")
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	for _, spec := range mix {
+		if err := spec.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // onWarm resets the shared statistics once every core has crossed its
@@ -238,10 +263,10 @@ func buildOrg(desc memorg.Descriptor, cfg Config, vmm *vm.Memory, visibleLines, 
 
 // installOraclePlacement grants TLM-Oracle its profiled knowledge: each
 // core's share of stacked frames goes to its most-accessed pages.
-func (m *machine) installOraclePlacement(stackedLines uint64) {
+func (m *machine) installOraclePlacement(streams []*workload.Stream, stackedLines uint64) {
 	perCore := int(stackedLines / vm.LinesPerPage / uint64(m.cfg.Cores))
 	hot := make([]map[uint64]bool, m.cfg.Cores)
-	for core, s := range m.streams {
+	for core, s := range streams {
 		hot[core] = make(map[uint64]bool, perCore)
 		for _, p := range s.HotPages(perCore) {
 			hot[core][p] = true
@@ -345,17 +370,7 @@ func Run(spec workload.Spec, cfg Config) Result {
 // ctx.Err(), so a timed-out or interrupted cell releases its goroutine and
 // memory instead of simulating to completion.
 func TryRun(ctx context.Context, spec workload.Spec, cfg Config) (Result, error) {
-	cfg = cfg.WithDefaults()
-	// Validate before sizing anything by cfg.Cores: a negative core count
-	// must be a config error, not a makeslice panic.
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	specs := make([]workload.Spec, cfg.Cores)
-	for i := range specs {
-		specs[i] = spec
-	}
-	return runMachine(ctx, specs, cfg, spec.Name, spec.Class)
+	return (*Recording)(nil).TryRun(ctx, spec, cfg)
 }
 
 // RunMix simulates a multi-programmed mix: core i runs mix[i mod len(mix)].
@@ -372,14 +387,18 @@ func RunMix(mix []workload.Spec, cfg Config) Result {
 // TryRunMix is RunMix with validation failures reported as errors and the
 // same cooperative-cancellation contract as TryRun.
 func TryRunMix(ctx context.Context, mix []workload.Spec, cfg Config) (Result, error) {
-	cfg = cfg.WithDefaults()
-	if len(mix) == 0 {
-		return Result{}, fmt.Errorf("system: empty mix")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	specs := make([]workload.Spec, cfg.Cores)
+	return (*Recording)(nil).TryRunMix(ctx, mix, cfg)
+}
+
+// TryRun is system.TryRun with every core replaying r instead of
+// generating its stream; a nil r generates live. r must have been recorded
+// for the same stream identity (StreamKey), or the run fails.
+func (r *Recording) TryRun(ctx context.Context, spec workload.Spec, cfg Config) (Result, error) {
+	return runMachine(ctx, []workload.Spec{spec}, cfg, spec.Name, spec.Class, r)
+}
+
+// TryRunMix is system.TryRunMix replaying r, under TryRun's contract.
+func (r *Recording) TryRunMix(ctx context.Context, mix []workload.Spec, cfg Config) (Result, error) {
 	names := make([]string, len(mix))
 	class := workload.LatencyLimited
 	for i, spec := range mix {
@@ -388,17 +407,21 @@ func TryRunMix(ctx context.Context, mix []workload.Spec, cfg Config) (Result, er
 			class = workload.CapacityLimited
 		}
 	}
-	for i := range specs {
-		specs[i] = mix[i%len(mix)]
-	}
-	return runMachine(ctx, specs, cfg, "mix("+strings.Join(names, "+")+")", class)
+	return runMachine(ctx, mix, cfg, "mix("+strings.Join(names, "+")+")", class, r)
 }
 
-func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name string, class workload.Class) (Result, error) {
-	m, err := newMachine(specs, cfg)
+func runMachine(ctx context.Context, mix []workload.Spec, cfg Config, name string, class workload.Class, rec *Recording) (Result, error) {
+	m, err := newMachine(mix, cfg.WithDefaults(), rec)
 	if err != nil {
 		return Result{}, err
 	}
+	return m.run(ctx, name, class)
+}
+
+// run simulates the machine to completion and extracts the result, which
+// holds copies only: nothing in it keeps the machine reachable.
+func (m *machine) run(ctx context.Context, name string, class workload.Class) (Result, error) {
+	cfg := m.cfg
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -468,7 +491,8 @@ func runMachine(ctx context.Context, specs []workload.Spec, cfg Config, name str
 		res.Cycles -= res.WarmupEndCycle
 		res.Instructions -= cfg.WarmupInstr * uint64(cfg.Cores)
 	}
-	res.Latency = &m.lat
+	lat := m.lat
+	res.Latency = &lat
 	res.LatencyP50 = m.lat.Quantile(0.50)
 	res.LatencyP95 = m.lat.Quantile(0.95)
 	res.LatencyP99 = m.lat.Quantile(0.99)

@@ -65,6 +65,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("vm: StackedFrames %d exceeds Frames %d", c.StackedFrames, c.Frames)
 	case c.ClockProbes < 0:
 		return fmt.Errorf("vm: negative ClockProbes")
+	case c.Frames > maxFrames:
+		return fmt.Errorf("vm: Frames %d exceeds the %d a page-table entry can hold", c.Frames, maxFrames)
 	}
 	return nil
 }
@@ -114,12 +116,11 @@ type Memory struct {
 	// free lists per region, holding frame numbers
 	freeStacked []uint64
 	freeOffchip []uint64
-	tables      []map[uint64]uint64 // per-process vpage -> frame
-	onStorage   []map[uint64]bool   // per-process pages whose contents live on storage
+	tables      []pageTable // per process
 	// tcache memoizes each process's last successful translation — a
-	// software micro-TLB in front of the page-table map. Page-local access
-	// runs (64 lines per page) make it hit often enough that the map
-	// lookup leaves the per-access hot path; every operation that remaps
+	// software micro-TLB in front of the page table. Page-local access
+	// runs (64 lines per page) make it hit often enough that the table
+	// walk leaves the per-access hot path; every operation that remaps
 	// or unmaps a page invalidates the affected entry, so it is pure
 	// memoization and cannot change any simulation result.
 	tcache    []transCache
@@ -152,13 +153,8 @@ func New(cfg Config, nprocs int) *Memory {
 	for f := cfg.StackedFrames; f < cfg.Frames; f++ {
 		m.freeOffchip = append(m.freeOffchip, f)
 	}
-	m.tables = make([]map[uint64]uint64, nprocs)
-	m.onStorage = make([]map[uint64]bool, nprocs)
+	m.tables = make([]pageTable, nprocs)
 	m.tcache = make([]transCache, nprocs)
-	for i := range m.tables {
-		m.tables[i] = make(map[uint64]uint64)
-		m.onStorage[i] = make(map[uint64]bool)
-	}
 	return m
 }
 
@@ -206,8 +202,7 @@ func (m *Memory) Translate(proc int, vline uint64, isWrite bool) (pline uint64, 
 		}
 		return tc.frame*LinesPerPage + offset, FaultOutcome{}
 	}
-	table := m.tables[proc]
-	if f, ok := table[vpage]; ok {
+	if f, ok := m.tables[proc].lookup(vpage).frame(); ok {
 		fr := &m.frames[f]
 		fr.ref = true
 		if isWrite {
@@ -217,12 +212,14 @@ func (m *Memory) Translate(proc int, vline uint64, isWrite bool) (pline uint64, 
 		return f*LinesPerPage + offset, FaultOutcome{}
 	}
 
-	// Page fault.
-	major := m.onStorage[proc][vpage]
+	// Page fault. Leaves never move, so e stays valid across allocate,
+	// whose eviction may write another page's entry.
+	e := m.tables[proc].entry(vpage)
+	major := *e == onStorage
 	f := m.allocate(proc, vpage)
 	fr := &m.frames[f]
 	*fr = frameInfo{owner: proc, vpage: vpage, valid: true, ref: true, dirty: isWrite}
-	table[vpage] = f
+	*e = resident(f)
 	*tc = transCache{vpage: vpage, frame: f, valid: true}
 
 	out.Fault = true
@@ -231,7 +228,6 @@ func (m *Memory) Translate(proc int, vline uint64, isWrite bool) (pline uint64, 
 		out.StallCycles = m.cfg.MajorFaultCycles
 		m.stats.MajorFaults++
 		m.stats.BytesFromStorage += PageBytes
-		delete(m.onStorage[proc], vpage)
 	} else {
 		out.StallCycles = m.cfg.MinorFaultCycles
 		m.stats.MinorFaults++
@@ -312,8 +308,7 @@ func (m *Memory) evict() uint64 {
 func (m *Memory) evictFrame(f uint64) {
 	fr := &m.frames[f]
 	m.invalidate(fr.owner, fr.vpage)
-	delete(m.tables[fr.owner], fr.vpage)
-	m.onStorage[fr.owner][fr.vpage] = true
+	*m.tables[fr.owner].entry(fr.vpage) = onStorage
 	m.stats.Evictions++
 	if fr.dirty {
 		m.stats.DirtyEvicted++
@@ -337,7 +332,7 @@ func (m *Memory) TranslateNoFault(proc int, vline uint64, isWrite bool) (pline u
 		}
 		return tc.frame*LinesPerPage + vline%LinesPerPage, true
 	}
-	f, found := m.tables[proc][vpage]
+	f, found := m.tables[proc].lookup(vpage).frame()
 	if !found {
 		return 0, false
 	}
@@ -353,8 +348,7 @@ func (m *Memory) TranslateNoFault(proc int, vline uint64, isWrite bool) (pline u
 // FrameOf reports the frame currently holding (proc, vpage), for tests and
 // the TLM migration machinery.
 func (m *Memory) FrameOf(proc int, vpage uint64) (uint64, bool) {
-	f, ok := m.tables[proc][vpage]
-	return f, ok
+	return m.tables[proc].lookup(vpage).frame()
 }
 
 // SwapFrames exchanges the contents (ownership, dirty/ref state) of two
@@ -371,8 +365,8 @@ func (m *Memory) SwapFrames(a, b uint64) {
 	}
 	m.invalidate(fa.owner, fa.vpage)
 	m.invalidate(fb.owner, fb.vpage)
-	m.tables[fa.owner][fa.vpage] = b
-	m.tables[fb.owner][fb.vpage] = a
+	*m.tables[fa.owner].entry(fa.vpage) = resident(b)
+	*m.tables[fb.owner].entry(fb.vpage) = resident(a)
 	*fa, *fb = *fb, *fa
 }
 
@@ -389,7 +383,7 @@ func (m *Memory) MoveFrame(src, dst uint64) {
 	}
 	m.removeFromFree(dst)
 	m.invalidate(fs.owner, fs.vpage)
-	m.tables[fs.owner][fs.vpage] = dst
+	*m.tables[fs.owner].entry(fs.vpage) = resident(dst)
 	*fd = *fs
 	*fs = frameInfo{owner: -1}
 	m.addToFree(src)

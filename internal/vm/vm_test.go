@@ -12,13 +12,16 @@ func smallMem(frames, stacked uint64, nprocs int) *Memory {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(16, 4).Validate(); err != nil {
-		t.Fatal(err)
+	for _, c := range []Config{DefaultConfig(16, 4), DefaultConfig(maxFrames, 0)} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bad := []Config{
 		{Frames: 0},
 		{Frames: 4, StackedFrames: 8},
 		{Frames: 4, ClockProbes: -1},
+		{Frames: maxFrames + 1}, // frame+1 would reach the on-storage bit
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

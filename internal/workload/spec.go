@@ -142,15 +142,21 @@ func Specs() []Spec {
 	}
 }
 
+// specsByName indexes AllSpecs once, so lookups allocate nothing.
+var specsByName = func() map[string]Spec {
+	all := AllSpecs()
+	m := make(map[string]Spec, len(all))
+	for _, s := range all {
+		m[s.Name] = s
+	}
+	return m
+}()
+
 // SpecByName looks a benchmark up by name, covering both Table II and the
 // microbenchmark probes.
 func SpecByName(name string) (Spec, bool) {
-	for _, s := range AllSpecs() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
+	s, ok := specsByName[name]
+	return s, ok
 }
 
 // ByClass filters the spec list.

@@ -33,9 +33,10 @@ const (
 	pcStreamBase = 0x500000
 )
 
-// Source is an infinite supply of requests — what a core consumes. The
-// synthetic Stream implements it, as does trace.LoopingSource for replaying
-// recorded traces.
+// Source is a supply of requests — what a core consumes. The synthetic
+// Stream and trace.LoopingSource are infinite; a Replay yields exactly the
+// prefix a Recorder captured, which is all a core with the recorded budget
+// reads.
 type Source interface {
 	Next() Request
 }
