@@ -1009,8 +1009,10 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 		}
 		req := sweepapi.CellRequest(s.req, fc.spec)
 		if dl, ok := s.ctx.Deadline(); ok {
-			if ms := time.Until(dl).Milliseconds(); ms > 0 {
-				req.TimeoutMS = ms
+			// Round up, so the worker's copy of the deadline never fires
+			// before the sweep's own (see ended).
+			if rem := time.Until(dl); rem > 0 {
+				req.TimeoutMS = int64((rem + time.Millisecond - 1) / time.Millisecond)
 			}
 		}
 		s.co.dispatched.Inc()
@@ -1026,6 +1028,9 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 		resp, err := s.co.client.RunCell(s.ctx, worker, req)
 		if err == nil {
 			s.resolve(fc, resp)
+			return
+		}
+		if s.ended() {
 			return
 		}
 
@@ -1061,9 +1066,6 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 				Error:    firstLine(perm.body),
 			})
 			return
-		case errors.Is(err, s.ctx.Err()) && s.ctx.Err() != nil:
-			s.fail(s.ctx.Err())
-			return
 		case errors.Is(err, errDraining):
 			// A draining worker is leaving on purpose — no suspicion
 			// window applies; it is dead to the fleet now.
@@ -1082,7 +1084,12 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 				continue
 			}
 			// Out of retries: is the worker gone, or is the cell cursed?
-			if s.co.client.Healthy(s.ctx, worker) {
+			// A probe cut short by the sweep's own end answers neither.
+			healthy := s.co.client.Healthy(s.ctx, worker)
+			if s.ended() {
+				return
+			}
+			if healthy {
 				s.recordFailure(fc, runner.CellFailure{
 					Key:      fc.key,
 					Name:     fc.job.Name(),
@@ -1110,6 +1117,23 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			return
 		}
 	}
+}
+
+// ended reports whether the sweep's context is done, ending the sweep with
+// its error if so: a dispatch or probe that failed after that says nothing
+// about the worker or the cell. Once the deadline has passed it waits for
+// the context to catch up: a worker's 504 answers the deadline forwarded
+// as timeout_ms, which is rounded up and so fires no earlier than the
+// sweep's own, but the response can beat the sweep's timer.
+func (s *sweepRun) ended() bool {
+	if dl, ok := s.ctx.Deadline(); ok && !time.Now().Before(dl) {
+		<-s.ctx.Done()
+	}
+	if err := s.ctx.Err(); err != nil {
+		s.fail(err)
+		return true
+	}
+	return false
 }
 
 // resolve records a worker's answer for one cell. Duplicate answers for

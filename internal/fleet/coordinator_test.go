@@ -398,6 +398,52 @@ func TestFleetCancellation(t *testing.T) {
 	}
 }
 
+// TestSweepDeadlineSparesHealthyWorker: a worker answers 504 (its copy of
+// the sweep's deadline fired) and its health probe hangs until the sweep's
+// own deadline cuts it short. The sweep must end with the deadline error,
+// evict no worker and record no cell failure, and the next sweep must
+// still dispatch to that worker.
+func TestSweepDeadlineSparesHealthyWorker(t *testing.T) {
+	var dispatches atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(sweepapi.ReadyState{Ready: true, MaxInflight: 1})
+	})
+	mux.HandleFunc("/sweep", func(w http.ResponseWriter, _ *http.Request) {
+		dispatches.Add(1)
+		w.WriteHeader(http.StatusGatewayTimeout)
+		io.WriteString(w, `{"error":"sweep cancelled: context deadline exceeded"}`)
+	})
+	mux.HandleFunc("/healthz", func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})
+	worker := httptest.NewServer(mux)
+	t.Cleanup(worker.Close)
+	co, err := NewCoordinator(CoordinatorOptions{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := sweepapi.Request{Org: "cameo", Benchmarks: []string{"milc"}}
+	for sweep := int64(1); sweep <= 2; sweep++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		_, err := co.Run(ctx, req)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("sweep %d: Run error = %v, want deadline exceeded", sweep, err)
+		}
+		if got := dispatches.Load(); got != sweep {
+			t.Fatalf("after sweep %d the worker saw %d dispatches, want %d", sweep, got, sweep)
+		}
+	}
+	snap := co.Metrics()
+	if got := counterOrZero(snap, "fleet/worker_deaths"); got != 0 {
+		t.Errorf("worker_deaths = %d, want 0", got)
+	}
+	if got := counterOrZero(snap, "fleet/cells_failed"); got != 0 {
+		t.Errorf("cells_failed = %d, want 0", got)
+	}
+}
+
 // TestCoordinatorValidation covers constructor and HTTP-facing errors.
 func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorOptions{}); err == nil {

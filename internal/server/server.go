@@ -115,6 +115,10 @@ type Server struct {
 	forceCtx    context.Context
 	forceCancel context.CancelFunc
 
+	// memo answers cells this process has already answered; nil when the
+	// server has no result cache, so without one every repeat executes.
+	memo *replyMemo
+
 	reg            *metrics.Registry
 	requests       *metrics.Counter
 	admitted       *metrics.Counter
@@ -188,6 +192,9 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.cache = cache
+	}
+	if s.cache != nil || opts.Cache != nil {
+		s.memo = &replyMemo{cells: map[string]SweepCell{}}
 	}
 	return s, nil
 }
@@ -462,6 +469,89 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, stopForce := mergeCancel(ctx, s.forceCtx)
 	defer stopForce()
 
+	// Cells this process has already answered come from the memo; only
+	// the rest reach a runner, so a fully memoized request builds none.
+	cells := make([]SweepCell, len(jobs))
+	memoized := make([]bool, len(jobs))
+	var hashes []string
+	rest := jobs
+	if s.memo != nil {
+		hashes = make([]string, len(jobs))
+		rest = make([]runner.Job, 0, len(jobs))
+		for i, j := range jobs {
+			hashes[i] = j.Hash()
+			if cells[i], memoized[i] = s.memo.get(hashes[i]); memoized[i] {
+				s.cellsFromCache.Inc()
+			} else {
+				rest = append(rest, j)
+			}
+		}
+	}
+	var (
+		run         *runner.Runner
+		failedCells *runner.FailedCellsError
+	)
+	if len(rest) > 0 {
+		run = s.newRunner()
+		err = run.RunAll(ctx, rest)
+		s.cellsExecuted.Add(run.ExecutedCells())
+		s.cellsFromCache.Add(run.CacheHitCells())
+		switch {
+		case err == nil:
+		case errors.As(err, &failedCells):
+			// Keep-going: the grid below holds the surviving cells; the
+			// response names the quarantined ones.
+			s.failed.Inc()
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			s.cancelled.Inc()
+			if s.draining.Load() {
+				writeError(w, http.StatusServiceUnavailable, "server draining: sweep cancelled")
+			} else {
+				writeError(w, http.StatusGatewayTimeout, "sweep cancelled: "+err.Error())
+			}
+			return
+		default:
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+	}
+
+	resp := SweepResponse{Org: req.Org, Cells: make([]SweepCell, 0, len(jobs))}
+	for i, j := range jobs {
+		if !memoized[i] {
+			res, ok := run.Lookup(j.Key())
+			if !ok {
+				continue // quarantined; listed in Failures
+			}
+			cells[i] = SweepCell{
+				Org:           res.Org,
+				Cycles:        res.Cycles,
+				Instructions:  res.Instructions,
+				Demands:       res.Demands,
+				AvgMemLatency: res.AvgMemLatency,
+				LatencyP95:    res.LatencyP95,
+			}
+			if s.memo != nil {
+				s.memo.put(hashes[i], cells[i])
+			}
+		}
+		cells[i].Benchmark = tags[i]
+		resp.Cells = append(resp.Cells, cells[i])
+	}
+	if failedCells != nil {
+		resp.Failures = failedCells.Report.Cells
+	}
+	s.completed.Inc()
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resp); err != nil {
+		s.opts.Log.Printf("sweep response: %v", err)
+	}
+}
+
+// newRunner builds the runner for one sweep's unmemoized cells.
+func (s *Server) newRunner() *runner.Runner {
 	ropts := runner.Options{
 		Jobs:       s.opts.Jobs,
 		Execute:    s.opts.Execute,
@@ -479,56 +569,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// would read as non-nil and dereference.
 		ropts.Cache = s.cache
 	}
-	run := runner.New(ropts)
-	err = run.RunAll(ctx, jobs)
-	s.cellsExecuted.Add(run.ExecutedCells())
-	s.cellsFromCache.Add(run.CacheHitCells())
-	var failedCells *runner.FailedCellsError
-	switch {
-	case err == nil:
-	case errors.As(err, &failedCells):
-		// Keep-going: the grid below holds the surviving cells; the
-		// response names the quarantined ones.
-		s.failed.Inc()
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.cancelled.Inc()
-		if s.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "server draining: sweep cancelled")
-		} else {
-			writeError(w, http.StatusGatewayTimeout, "sweep cancelled: "+err.Error())
-		}
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	return runner.New(ropts)
+}
 
-	resp := SweepResponse{Org: req.Org, Cells: []SweepCell{}}
-	for i, j := range jobs {
-		res, ok := run.Lookup(j.Key())
-		if !ok {
-			continue // quarantined; listed in Failures
-		}
-		resp.Cells = append(resp.Cells, SweepCell{
-			Benchmark:     tags[i],
-			Org:           res.Org,
-			Cycles:        res.Cycles,
-			Instructions:  res.Instructions,
-			Demands:       res.Demands,
-			AvgMemLatency: res.AvgMemLatency,
-			LatencyP95:    res.LatencyP95,
-		})
+// replyMemoBound caps the reply memo: 4096 entries of about 250 B each
+// come to about 1 MiB.
+const replyMemoBound = 4096
+
+// replyMemo maps a cell hash (runner.Job.Hash) to its reply cell without
+// the Benchmark tag. It holds only what a reply uses, never the decoded
+// system.Result (about 7 KB live), and is dropped whole when full: a
+// dropped cell costs one load from the cache tier beneath.
+type replyMemo struct {
+	mu    sync.Mutex
+	cells map[string]SweepCell
+}
+
+func (m *replyMemo) get(hash string) (SweepCell, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.cells[hash]
+	return c, ok
+}
+
+func (m *replyMemo) put(hash string, c SweepCell) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.cells[hash]; !ok && len(m.cells) >= replyMemoBound {
+		clear(m.cells)
 	}
-	if failedCells != nil {
-		resp.Failures = failedCells.Report.Cells
-	}
-	s.completed.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
-		s.opts.Log.Printf("sweep response: %v", err)
-	}
+	m.cells[hash] = c
 }
 
 // admit applies the admission policy: reject while draining, shed with 429
@@ -609,7 +679,7 @@ func (s *Server) Drain() error {
 	if s.cache != nil {
 		err = s.cache.Close()
 	}
-	s.forceCancel() // release the merge goroutines of completed sweeps
+	s.forceCancel() // every sweep has finished; release forceCtx itself
 	s.opts.Log.Printf("drain: complete")
 	return err
 }
@@ -619,21 +689,14 @@ func (s *Server) Drain() error {
 func (s *Server) Metrics() metrics.Snapshot { return s.metricsSnapshot() }
 
 // mergeCancel returns a context cancelled when either parent is; stop
-// releases the watcher goroutine.
+// cancels it and unregisters the forwarding from other. Nothing runs
+// until other is cancelled.
 func mergeCancel(ctx, other context.Context) (context.Context, context.CancelFunc) {
 	merged, cancel := context.WithCancel(ctx)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-other.Done():
-			cancel()
-		case <-merged.Done():
-		case <-stop:
-		}
-	}()
+	unregister := context.AfterFunc(other, cancel)
 	return merged, func() {
+		unregister()
 		cancel()
-		close(stop)
 	}
 }
 
