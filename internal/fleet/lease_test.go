@@ -114,15 +114,28 @@ func TestLeaseTableAdopt(t *testing.T) {
 func TestLeaseExpiryRedispatch(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
+	// The healthy worker computes nothing until the stalled worker has
+	// taken a cell. Otherwise it can drain both queues before the stalled
+	// worker's only dispatch loop takes one, and no lease ever lapses.
+	stalledEntered := make(chan struct{})
+	var enterOnce sync.Once
 	stallExec := func(ctx context.Context, j runner.Job) system.Result {
+		enterOnce.Do(func() { close(stalledEntered) })
 		select {
 		case <-time.After(1200 * time.Millisecond):
 		case <-ctx.Done():
 		}
 		return coordFakeExecute(ctx, j)
 	}
+	healthyExec := func(ctx context.Context, j runner.Job) system.Result {
+		select {
+		case <-stalledEntered:
+		case <-ctx.Done():
+		}
+		return coordFakeExecute(ctx, j)
+	}
 	_, stalled := newFleetWorker(t, server.Options{Execute: stallExec, MaxInflight: 1, Jobs: 1})
-	_, healthy := newFleetWorker(t, server.Options{})
+	_, healthy := newFleetWorker(t, server.Options{Execute: healthyExec})
 
 	co, cts := newTestCoordinator(t, CoordinatorOptions{
 		Workers:  []string{stalled.URL, healthy.URL},

@@ -53,19 +53,14 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 // invalid JSON, a legacy pre-envelope entry, or a bit flip inside a valid
 // envelope — are quarantined and counted, then recomputed as misses.
 func TestDiskCacheCorruptEntryQuarantined(t *testing.T) {
-	c := openTestCache(t, t.TempDir())
+	dir := t.TempDir()
 	jobs := testJobs(3)
 
 	// Entry 0: not JSON at all. Entry 1: valid JSON but the legacy bare
 	// format (no envelope). Entry 2: valid envelope with a damaged payload.
-	if err := writeFile(c.path(jobs[0].Hash()), "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFile(c.path(jobs[1].Hash()), `{"Org":"CAMEO","Cycles":42}`); err != nil {
-		t.Fatal(err)
-	}
-	c.Store(jobs[2].Hash(), system.Result{Org: "CAMEO", Cycles: 7})
-	data, err := os.ReadFile(c.path(jobs[2].Hash()))
+	// Each is planted as a well-formed log record, so only verify-on-read
+	// can catch it.
+	data, err := EncodeEntry(system.Result{Org: "CAMEO", Cycles: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +68,10 @@ func TestDiskCacheCorruptEntryQuarantined(t *testing.T) {
 	if damaged == string(data) {
 		t.Fatal("test setup: payload substring not found")
 	}
-	if err := writeFile(c.path(jobs[2].Hash()), damaged); err != nil {
-		t.Fatal(err)
-	}
+	plantRecord(t, dir, jobs[0].Hash(), "{not json")
+	plantRecord(t, dir, jobs[1].Hash(), `{"Org":"CAMEO","Cycles":42}`)
+	plantRecord(t, dir, jobs[2].Hash(), damaged)
+	c := openTestCache(t, dir)
 
 	for i, j := range jobs {
 		if _, ok := c.Load(j.Hash()); ok {
@@ -88,8 +84,8 @@ func TestDiskCacheCorruptEntryQuarantined(t *testing.T) {
 	if q := c.QuarantinedEntries(); len(q) != 3 {
 		t.Fatalf("quarantined %d files, want 3: %v", len(q), q)
 	}
-	// The corrupt entries left the main directory: a re-load is a plain
-	// miss, not a second quarantine.
+	// The corrupt entries left the index: a re-load is a plain miss, not a
+	// second quarantine.
 	if _, ok := c.Load(jobs[0].Hash()); ok {
 		t.Fatal("quarantined entry resurrected")
 	}
@@ -102,14 +98,15 @@ func TestDiskCacheCorruptEntryQuarantined(t *testing.T) {
 }
 
 // TestDiskCacheStoreWriteFailure: an injected write failure degrades to the
-// store_errors counter, leaves no temp file and no entry, and the next
-// store succeeds.
+// store_errors counter, leaves no entry and the log at its old length, and
+// the next store succeeds.
 func TestDiskCacheStoreWriteFailure(t *testing.T) {
 	c := openTestCache(t, t.TempDir())
 	job := testJobs(1)[0]
 	c.SetFaults(faultinject.NewPlan(1, faultinject.Rule{
 		Site: faultinject.SiteCacheStore, Kind: faultinject.WriteFail, Prob: 1, Limit: 1,
 	}))
+	lenBefore, sizeBefore := c.Len(), logSize(t, c.Dir())
 	c.Store(job.Hash(), system.Result{Cycles: 1})
 	if n := c.StoreErrorCount(); n != 1 {
 		t.Fatalf("StoreErrorCount = %d, want 1", n)
@@ -117,8 +114,8 @@ func TestDiskCacheStoreWriteFailure(t *testing.T) {
 	if _, ok := c.Load(job.Hash()); ok {
 		t.Fatal("failed store produced a readable entry")
 	}
-	if tmp := c.TempFiles(); len(tmp) != 0 {
-		t.Fatalf("failed store leaked temp files: %v", tmp)
+	if n, size := c.Len(), logSize(t, c.Dir()); n != lenBefore || size != sizeBefore {
+		t.Fatalf("failed store left Len %d and a %d-byte log, want %d and %d", n, size, lenBefore, sizeBefore)
 	}
 	// Limit=1 consumed the fault: the next store goes through.
 	c.Store(job.Hash(), system.Result{Cycles: 2})
@@ -200,17 +197,41 @@ func TestCacheHashStable(t *testing.T) {
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// TestQuarantineIgnoredByLen: quarantined files do not count as entries.
-func TestQuarantineIgnoredByLen(t *testing.T) {
-	c := openTestCache(t, t.TempDir())
-	job := testJobs(1)[0]
-	if err := writeFile(c.path(job.Hash()), "junk"); err != nil {
+// plantRecord appends a well-formed log record to dir's entry log by hand,
+// as a store would have written it, for a cache opened afterwards to index.
+func plantRecord(t *testing.T, dir, hash, body string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Write(appendRecord(nil, hash, []byte(body))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logSize returns the length of dir's entry log (0 when there is none).
+func logSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, logName))
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestQuarantineIgnoredByLen: quarantined entries do not count as entries.
+func TestQuarantineIgnoredByLen(t *testing.T) {
+	dir := t.TempDir()
+	job := testJobs(1)[0]
+	plantRecord(t, dir, job.Hash(), "junk")
+	c := openTestCache(t, dir)
 	c.Load(job.Hash()) // quarantines
 	if n := c.Len(); n != 0 {
 		t.Fatalf("Len = %d after quarantine, want 0", n)

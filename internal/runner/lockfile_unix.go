@@ -39,3 +39,16 @@ func releaseDirLock(f *os.File) error {
 	}
 	return cerr
 }
+
+// syncDir fsyncs a directory, making a file newly created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

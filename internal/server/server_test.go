@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -482,19 +481,14 @@ func TestCachePeerEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed sweep: %d %s", resp.StatusCode, b)
 	}
-	// Find its hash from the cache dir listing (single entry).
-	entries, err := os.ReadDir(dir)
+	// Its hash is the cell identity the request expands to.
+	grid, err := sweepapi.BuildGrid(sweepapi.Request{Org: "cameo", Benchmarks: []string{"milc"}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash := ""
-	for _, e := range entries {
-		if n := strings.TrimSuffix(e.Name(), ".json"); len(n) == 64 {
-			hash = n
-		}
-	}
-	if hash == "" {
-		t.Fatalf("no cache entry on disk after sweep: %v", entries)
+	hash := grid.Jobs[0].Hash()
+	if counter(t, s, "runner/cache/stores") != 1 {
+		t.Fatalf("no cache entry on disk after sweep: stores = %d", counter(t, s, "runner/cache/stores"))
 	}
 
 	// GET round-trips the envelope.
