@@ -64,7 +64,6 @@ func run(args []string) (code int) {
 		values   = fs.String("values", "512,1024,2048", "comma-separated sweep values")
 		instr    = fs.Uint64("instr", 300_000, "instructions per core")
 		cores    = fs.Int("cores", 16, "core count (unless swept)")
-		shards   = fs.Int("shards", 0, "group-sharded execution mode: lane worker count per cell (0 = sequential; output is byte-identical at any value >= 1)")
 		out      = fs.String("out", "", "CSV output path (default stdout)")
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers")
 		cachedir = fs.String("cachedir", "", "persistent result-cache directory")
@@ -137,7 +136,6 @@ func run(args []string) (code int) {
 				ScaleDiv:     1024,
 				Cores:        *cores,
 				InstrPerCore: *instr,
-				Shards:       *shards,
 			}
 			if err := system.ApplySweep(&cfg, *sweep, v); err != nil {
 				fmt.Fprintln(os.Stderr, "cameo-sweep:", err)

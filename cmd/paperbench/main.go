@@ -50,7 +50,6 @@ func run(args []string) (code int) {
 		cores    = fs.Int("cores", 0, "rate-mode core count (default 32)")
 		instr    = fs.Uint64("instr", 0, "instructions per core (default 600000)")
 		seed     = fs.Uint64("seed", 0, "random seed")
-		shards   = fs.Int("shards", 0, "group-sharded execution mode: lane worker count for cells whose organization supports it, others stay sequential (0 = all sequential; output is byte-identical at any value >= 1)")
 		bench    = fs.String("bench", "", "comma-separated benchmark subset (default: all of Table II)")
 		csv      = fs.String("csv", "", "also dump the raw result grid as CSV to this path")
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers")
@@ -99,7 +98,6 @@ func run(args []string) (code int) {
 		Cores:        *cores,
 		InstrPerCore: *instr,
 		Seed:         *seed,
-		Shards:       *shards,
 		Jobs:         *jobs,
 		JobTimeout:   *jobTimeout,
 		Retries:      *retries,

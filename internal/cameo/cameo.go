@@ -105,26 +105,6 @@ type Stats struct {
 	Cases     CaseStats
 }
 
-// Add folds other into s — the deterministic reduction the group-sharded
-// execution mode uses to merge per-lane counters (every field is a sum, so
-// the merged value is independent of lane visit order).
-func (s *Stats) Add(o Stats) {
-	s.StackedHits += o.StackedHits
-	s.OffChipHits += o.OffChipHits
-	s.Swaps += o.Swaps
-	s.SuppressedSwaps += o.SuppressedSwaps
-	s.Writebacks += o.Writebacks
-	s.WastedReads += o.WastedReads
-	s.LLTCacheHits += o.LLTCacheHits
-	s.LLTCacheMisses += o.LLTCacheMisses
-	s.LLTProbes += o.LLTProbes
-	s.Cases.StackedPredStacked += o.Cases.StackedPredStacked
-	s.Cases.StackedPredOff += o.Cases.StackedPredOff
-	s.Cases.OffPredStacked += o.Cases.OffPredStacked
-	s.Cases.OffPredCorrect += o.Cases.OffPredCorrect
-	s.Cases.OffPredWrongOff += o.Cases.OffPredWrongOff
-}
-
 // StackedServiceRate returns the fraction of demands serviced from stacked.
 func (s Stats) StackedServiceRate() float64 {
 	t := s.StackedHits + s.OffChipHits

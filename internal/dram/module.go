@@ -62,22 +62,6 @@ type Stats struct {
 	ForcedDrains uint64
 }
 
-// Add folds other into s — the deterministic reduction merging per-lane
-// device counters in the group-sharded execution mode (all fields sum, so
-// the merge is independent of lane order).
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.BytesRead += o.BytesRead
-	s.BytesWritten += o.BytesWritten
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.TotalReadLatency += o.TotalReadLatency
-	s.RefreshStalls += o.RefreshStalls
-	s.HiddenWrites += o.HiddenWrites
-	s.ForcedDrains += o.ForcedDrains
-}
-
 // Bytes returns total bytes moved in either direction.
 func (s Stats) Bytes() uint64 { return s.BytesRead + s.BytesWritten }
 

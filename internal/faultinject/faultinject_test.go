@@ -117,8 +117,28 @@ func TestCorruptBytesDamagesDeterministically(t *testing.T) {
 	CorruptBytes(nil, "cell-key") // must not panic
 }
 
+// Specs shared by the table tests and FuzzParseSpec's seed corpus.
+const (
+	jobCacheSpec   = "job:panic:p=0.25:max=1; cacheload:corrupt:match=milc ;cachestore:writefail:limit=5;job:hang:delay=250ms;job:stall:max=1:delay=1s"
+	fleetSitesSpec = "fleet/dispatch:drop:p=0.5;" +
+		"fleet/heartbeat:partition:match=127.0.0.1:18441:max=3;" +
+		"fleet/cachefetch:error5xx:limit=2;" +
+		"fleet/dispatch:latency:delay=40ms"
+)
+
+var badSpecs = []string{
+	"",
+	"job",
+	"nowhere:panic",
+	"job:explode",
+	"job:panic:p=2",
+	"job:panic:p=NaN",
+	"job:panic:frequency=1",
+	"job:hang:delay=fast",
+}
+
 func TestParseSpec(t *testing.T) {
-	p, err := ParseSpec(3, "job:panic:p=0.25:max=1; cacheload:corrupt:match=milc ;cachestore:writefail:limit=5;job:hang:delay=250ms;job:stall:max=1:delay=1s")
+	p, err := ParseSpec(3, jobCacheSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +161,7 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"job",
-		"nowhere:panic",
-		"job:explode",
-		"job:panic:p=2",
-		"job:panic:frequency=1",
-		"job:hang:delay=fast",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(1, bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
@@ -171,11 +183,7 @@ func TestKindStrings(t *testing.T) {
 // parse, including a match= value that itself contains colons (a
 // host:port) — the option splitter must not cut it.
 func TestParseSpecFleetSites(t *testing.T) {
-	p, err := ParseSpec(1,
-		"fleet/dispatch:drop:p=0.5;"+
-			"fleet/heartbeat:partition:match=127.0.0.1:18441:max=3;"+
-			"fleet/cachefetch:error5xx:limit=2;"+
-			"fleet/dispatch:latency:delay=40ms")
+	p, err := ParseSpec(1, fleetSitesSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

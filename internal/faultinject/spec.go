@@ -102,7 +102,8 @@ func parseRule(raw string) (Rule, error) {
 		switch k {
 		case "p":
 			r.Prob, err = strconv.ParseFloat(v, 64)
-			if err == nil && (r.Prob < 0 || r.Prob > 1) {
+			// Negated so NaN, which fails every comparison, is rejected too.
+			if err == nil && !(r.Prob >= 0 && r.Prob <= 1) {
 				err = fmt.Errorf("probability %v out of [0,1]", r.Prob)
 			}
 		case "match":

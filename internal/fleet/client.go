@@ -103,7 +103,9 @@ const maxShedBackoff = 30 * time.Second
 func parseRetryAfter(h string) time.Duration {
 	wait := time.Second
 	if ra, err := strconv.Atoi(h); err == nil && ra > 0 {
-		wait = time.Duration(ra) * time.Second
+		// Clamp before multiplying: delta-seconds above ~9.2e9 would
+		// overflow the Duration and wrap negative.
+		wait = time.Duration(min(ra, int(maxShedBackoff/time.Second))) * time.Second
 	} else if t, err := http.ParseTime(h); err == nil {
 		if d := time.Until(t); d > wait {
 			wait = d

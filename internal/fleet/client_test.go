@@ -31,6 +31,8 @@ func TestParseRetryAfter(t *testing.T) {
 		{"malformed", "soon", time.Second, time.Second},
 		{"negative", "-5", time.Second, time.Second},
 		{"delta-clamped", "86400", maxShedBackoff, maxShedBackoff},
+		{"delta-overflow", "10000000000", maxShedBackoff, maxShedBackoff},
+		{"delta-overflow-uint64-ns", "18446744073", maxShedBackoff, maxShedBackoff},
 		// HTTP-date resolves against the wall clock; allow slack below and
 		// require it lands in the intended neighbourhood.
 		{"http-date", httpDate(5 * time.Second), 3 * time.Second, 5 * time.Second},

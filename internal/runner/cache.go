@@ -203,7 +203,7 @@ func (c *DiskCache) scan(f *os.File, size int64) (int64, error) {
 		}
 		crc := crc32.Update(crc32.Checksum(hdr[:], castagnoli), castagnoli, body)
 		hash := string(hdr[:hashLen])
-		if crc != binary.LittleEndian.Uint32(sum[:]) || !validHash(hash) {
+		if crc != binary.LittleEndian.Uint32(sum[:]) || !ValidHash(hash) {
 			break
 		}
 		if n == 0 {
@@ -493,7 +493,7 @@ func (c *DiskCache) appendLocked(hash string, body []byte) error {
 	if c.lock == nil {
 		return errClosed
 	}
-	if !validHash(hash) {
+	if !ValidHash(hash) {
 		return fmt.Errorf("runner: cache: malformed cell hash %q", hash)
 	}
 	if c.log == nil {
@@ -544,9 +544,9 @@ func appendRecord(buf []byte, hash string, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
-// validHash accepts exactly the lowercase hex SHA-256 shape Job.Hash
-// produces, the only keys a record can hold (and safe as a file name).
-func validHash(h string) bool {
+// ValidHash accepts exactly the lowercase hex SHA-256 shape Job.Hash
+// produces: the only keys a record can hold, and safe as a file name.
+func ValidHash(h string) bool {
 	if len(h) != hashLen {
 		return false
 	}

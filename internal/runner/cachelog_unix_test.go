@@ -47,7 +47,7 @@ func TestDiskCacheKillDrill(t *testing.T) {
 	lines := bufio.NewScanner(out)
 	for lines.Scan() {
 		h, ok := strings.CutPrefix(lines.Text(), "stored ")
-		if !ok || !validHash(h) {
+		if !ok || !ValidHash(h) {
 			t.Fatalf("child said %q", lines.Text())
 		}
 		acked = append(acked, h)

@@ -86,19 +86,12 @@ func (j Job) Key() string {
 	if c.HybridWays != 0 {
 		fmt.Fprintf(&b, "|hways=%d", c.HybridWays)
 	}
-	if c.Shards != 0 {
-		// The mode bit, not the worker count: sharded output is
-		// byte-identical at every Shards >= 1, so all nonzero values share
-		// one cell (and one cache entry), and -shards 1 vs -shards 4 telemetry
-		// compares byte-for-byte including the embedded key.
-		b.WriteString("|sharded=1")
-	}
 	return b.String()
 }
 
 // keyFieldCount is the number of system.Config fields Key encodes; a test
 // fails when Config grows without this (and Key) being updated.
-const keyFieldCount = 21
+const keyFieldCount = 20
 
 // Hash returns the hex SHA-256 of the schema-versioned canonical key — the
 // filename-safe identity the persistent cache stores cells under.

@@ -302,7 +302,7 @@ func (s *Server) ReadyState() sweepapi.ReadyState {
 // side first notices.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	hash := strings.TrimPrefix(r.URL.Path, "/cache/")
-	if !validCellHash(hash) {
+	if !runner.ValidHash(hash) {
 		writeError(w, http.StatusBadRequest, "malformed cell hash")
 		return
 	}
@@ -367,7 +367,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, h := range req.Hashes {
-		if !validCellHash(h) {
+		if !runner.ValidHash(h) {
 			writeError(w, http.StatusBadRequest, "malformed cell hash "+h)
 			return
 		}
@@ -379,22 +379,6 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewEncoder(w).Encode(sweepapi.WarmResponse{Hits: hits, Misses: misses}); err != nil {
 		s.opts.Log.Printf("warm: %v", err)
 	}
-}
-
-// validCellHash accepts exactly the hex SHA-256 shape runner.Job.Hash
-// produces — anything else (including path tricks) is rejected.
-func validCellHash(h string) bool {
-	if len(h) != 64 {
-		return false
-	}
-	for _, c := range h {
-		switch {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'f':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // handleMetrics emits the service metrics as one deterministic JSON

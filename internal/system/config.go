@@ -68,16 +68,6 @@ func OrgNames() []string { return memorg.Names() }
 // that need the design summary or sweep dimensions.
 func OrgDescriptor(k OrgKind) (memorg.Descriptor, bool) { return memorg.ByKind(int(k)) }
 
-// SupportsSharding reports whether the organization can run in the
-// group-sharded execution mode (its descriptor declares shardable state).
-// Multi-organization front ends use it to apply a sweep-wide -shards knob
-// only where it is meaningful; single-organization front ends instead let
-// Validate reject the knob loudly.
-func SupportsSharding(k OrgKind) bool {
-	d, ok := memorg.ByKind(int(k))
-	return ok && d.ShardableState != nil
-}
-
 // Full-scale capacities (Table I): 4 GB stacked, 12 GB off-chip.
 const (
 	StackedBytesFull = 4 << 30
@@ -157,17 +147,6 @@ type Config struct {
 	// fast-path region. 0 means the design default of 4; must be a power
 	// of two <= 16. Not filled by WithDefaults, like MemPartPct.
 	HybridWays int
-	// Shards, when nonzero, selects the group-sharded execution mode: the
-	// organization's congruence-group state partitions into canonical
-	// lanes driven by this many worker goroutines, behind a decoupled
-	// front end (see internal/system/sharded.go and DESIGN.md
-	// §Performance). Output is byte-identical at every Shards >= 1, so the
-	// cell key encodes only the mode bit — never the worker count — and
-	// all nonzero values share one cache entry. Requires an organization
-	// whose descriptor declares ShardableState. Not filled by
-	// WithDefaults, like MemPartPct: pre-existing cell keys stay
-	// byte-identical when the knob is unset.
-	Shards int
 }
 
 // WithDefaults fills zero fields with the paper-equivalent defaults.
@@ -215,15 +194,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: warmup %d not below budget %d", c.WarmupInstr, c.InstrPerCore)
 	case c.FRFCFS && (c.WriteBuffered || c.Refresh):
 		return fmt.Errorf("system: FRFCFS excludes the analytic model's WriteBuffered/Refresh knobs")
-	case c.Shards < 0:
-		return fmt.Errorf("system: negative shard count %d", c.Shards)
 	}
 	d, ok := memorg.ByKind(int(c.Org))
 	if !ok {
 		return fmt.Errorf("system: unknown organization %v", c.Org)
-	}
-	if c.Shards > 0 && d.ShardableState == nil {
-		return fmt.Errorf("system: organization %s does not declare group-shardable state (-shards needs it)", d.Name)
 	}
 	if d.Validate != nil {
 		if err := d.Validate(c.buildEnv()); err != nil {

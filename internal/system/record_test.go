@@ -121,7 +121,6 @@ func TestStreamKeyCoversOnlyStreamFields(t *testing.T) {
 		"HotSwapThreshold": false, "WarmupInstr": false, "Refresh": false,
 		"WriteBuffered": false, "FRFCFS": false, "UseTLB": false,
 		"StackedDivisor": false, "MemPartPct": false, "HybridWays": false,
-		"Shards": false,
 	}
 	mix := []workload.Spec{spec(t, "sphinx3")}
 	base := StreamKey(mix, Config{})
