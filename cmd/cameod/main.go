@@ -5,8 +5,9 @@
 // Endpoints:
 //
 //	POST /sweep    run a sweep; JSON body {"org","benchmarks","sweep","values",
-//	               "instr","cores","seed","timeout_ms"}; cells return in
-//	               request order. 400 invalid request, 429 saturated (honour
+//	               "instr","cores","scale","seed","timeout_ms"}; cells
+//	               return in request order. 400 invalid request (an
+//	               unknown field included), 429 saturated (honour
 //	               Retry-After), 503 draining, 504 request deadline hit.
 //	GET  /healthz  liveness: 200 while the process serves, even during drain.
 //	GET  /readyz   admission readiness: a JSON body with in-flight slots,
@@ -21,18 +22,18 @@
 // unwind at their preemption points, and the workers are reclaimed.
 //
 // Fleet mode: with -peers, a worker consults the listed peer caches before
-// recomputing a cell (and serves POST /cache/warm so a coordinator can ask
-// it to pre-fetch a batch of entries from those peers). With -coordinator
-// -workers=..., cameod serves the same /sweep contract but shards cells
-// across the workers by consistent hashing, work-steals stragglers, and
-// re-shards the cells of lost workers — see internal/fleet. With -heartbeat
-// the coordinator runs the suspicion-based failure detector
-// (alive→suspect→dead, tuned by -suspect-misses/-dead-misses) and serves
-// POST /fleet/join for runtime registration; a worker started with
-// -join <coordinator> announces itself there and re-joins automatically
-// after a crash. -chaos/-chaos-seed inject deterministic transport faults
-// (drop, latency, error5xx, partition) at the fleet/dispatch,
-// fleet/heartbeat, and fleet/cachefetch sites for replayable drills.
+// recomputing a cell. With -coordinator -workers=..., cameod serves the
+// same /sweep contract but shards cells across the workers by consistent
+// hashing, work-steals stragglers, and re-shards the cells of lost workers
+// — see internal/fleet. The -workers roster is the whole fleet. The
+// coordinator probes every worker each -heartbeat (default 1s) and runs
+// the suspicion-based failure detector (alive→suspect→dead, tuned by
+// -suspect-misses/-dead-misses); a dead worker whose probes answer again
+// is re-admitted. -standby runs a spare coordinator that takes over when
+// the primary's death is confirmed. -chaos/-chaos-seed inject
+// deterministic transport faults (drop, latency, error5xx, partition) at
+// the fleet/dispatch, fleet/heartbeat, and fleet/cachefetch sites for
+// replayable drills.
 //
 // On SIGTERM/SIGINT cameod drains: it stops admitting (readyz flips to
 // 503), lets in-flight sweeps finish within -drain-grace, force-cancels any
@@ -87,15 +88,12 @@ func run(args []string, stderr io.Writer) int {
 		vnodes      = fs.Int("vnodes", 0, "virtual nodes per worker on the hash ring (0 = default)")
 		resume      = fs.Bool("resume", false, "coordinator mode: resume an interrupted sweep from the manifest in -cachedir")
 
-		join          = fs.String("join", "", "worker mode: coordinator base URL to register with at startup (and keep re-announcing to)")
-		advertise     = fs.String("advertise", "", "this node's own base URL as reachable by the coordinator and peers (default http://<addr>)")
 		standby       = fs.String("standby", "", "standby coordinator mode: monitor this primary coordinator URL and take over its sweep (from the shared -cachedir manifest) when its death is confirmed")
-		gossipEvery   = fs.Duration("gossip-interval", 0, "anti-entropy gossip cadence: exchange the versioned fleet membership view with a random peer this often (0 = off)")
 		leaseTTL      = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: cell dispatch lease duration recorded in the manifest; expired leases make cells safely re-dispatchable (0 = leasing off)")
-		heartbeat     = fs.Duration("heartbeat", 0, "coordinator mode: probe worker liveness at this cadence and run the suspicion-based failure detector (0 = off: a failed dispatch plus a failed probe kills a worker immediately); worker mode with -join: re-announce cadence")
+		heartbeat     = fs.Duration("heartbeat", time.Second, "coordinator and standby modes: failure-detector cadence; every worker (a standby: the primary) is probed this often")
 		suspectMisses = fs.Int("suspect-misses", 0, "coordinator mode: consecutive heartbeat misses before a worker turns suspect (0 = default 2)")
 		deadMisses    = fs.Int("dead-misses", 0, "coordinator mode: total consecutive misses before a suspect is declared dead and re-sharded (0 = default: suspect-misses+4)")
-		chaos         = fs.String("chaos", "", "comma-separated deterministic fault rules injected under fleet transport (site:kind[:opt=v]...; sites fleet/dispatch, fleet/heartbeat, fleet/cachefetch; kinds drop, latency, error5xx, partition)")
+		chaos         = fs.String("chaos", "", "semicolon-separated deterministic fault rules site:kind[:opt=v]... injected under fleet transport (sites fleet/dispatch, fleet/heartbeat, fleet/cachefetch; kinds drop, latency, error5xx, partition)")
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the -chaos fault plan (same seed + same traffic = same faults)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -123,22 +121,12 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 
-	self := *advertise
-	if self == "" {
-		self = "http://" + ln.Addr().String()
-	}
-
 	var handler http.Handler
 	drain := func() error { return nil }
 	switch {
 	case *standby != "":
 		if *coordinator {
 			logger.Print("-standby already implies the coordinator role; drop -coordinator")
-			ln.Close()
-			return 2
-		}
-		if *join != "" {
-			logger.Print("-join is a worker flag: a standby coordinator is joined, it does not join")
 			ln.Close()
 			return 2
 		}
@@ -160,8 +148,6 @@ func run(args []string, stderr io.Writer) int {
 				Chaos:             chaosPlan,
 				ChaosSeed:         *chaosSeed,
 				LeaseTTL:          *leaseTTL,
-				Advertise:         self,
-				GossipInterval:    *gossipEvery,
 				Log:               logger,
 			},
 			Interval:      *heartbeat,
@@ -186,11 +172,6 @@ func run(args []string, stderr io.Writer) int {
 			ln.Close()
 			return 2
 		}
-		if *join != "" {
-			logger.Print("-join is a worker flag: a coordinator is joined, it does not join")
-			ln.Close()
-			return 2
-		}
 		co, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
 			Workers:           splitList(*workers),
 			VNodes:            *vnodes,
@@ -203,8 +184,6 @@ func run(args []string, stderr io.Writer) int {
 			Chaos:             chaosPlan,
 			ChaosSeed:         *chaosSeed,
 			LeaseTTL:          *leaseTTL,
-			Advertise:         self,
-			GossipInterval:    *gossipEvery,
 			Log:               logger,
 		})
 		if err != nil {
@@ -214,11 +193,7 @@ func run(args []string, stderr io.Writer) int {
 		}
 		defer co.Close()
 		handler = co.Handler()
-		if *heartbeat > 0 {
-			logger.Printf("coordinating %d workers (failure detector on, heartbeat %s)", len(splitList(*workers)), *heartbeat)
-		} else {
-			logger.Printf("coordinating %d workers", len(splitList(*workers)))
-		}
+		logger.Printf("coordinating %d workers (heartbeat %s)", len(splitList(*workers)), *heartbeat)
 	default:
 		opts := server.Options{
 			Jobs:        *jobs,
@@ -231,7 +206,6 @@ func run(args []string, stderr io.Writer) int {
 			DrainGrace:  *drainGrace,
 			Log:         logger,
 		}
-		var tier *fleet.PeerTier
 		if *peers != "" {
 			if *cachedir == "" {
 				logger.Print("-peers needs -cachedir: the peer protocol serves and adopts entries through the local disk cache")
@@ -246,35 +220,11 @@ func run(args []string, stderr io.Writer) int {
 			}
 			opts.CacheDir = ""
 			opts.Disk = disk
-			tier = fleet.NewPeerTier(disk, splitList(*peers), 0)
+			tier := fleet.NewPeerTier(disk, splitList(*peers), 0)
 			if chaosPlan != nil {
 				tier.SetChaos(chaosPlan)
 			}
 			opts.Cache = tier
-		}
-		if *gossipEvery > 0 {
-			// The gossip view, not the static flag list, keeps the cache
-			// tier's peer set current: a joiner anywhere in the fleet
-			// becomes fetchable here within a few exchanges, and a confirmed
-			// death drops out — no restarts, no coordinator brokering.
-			onView := func([]string) {}
-			if tier != nil {
-				onView = tier.SetPeers
-			}
-			g := fleet.NewGossiper(fleet.GossipOptions{
-				Self:     self,
-				Seeds:    splitList(*peers),
-				Interval: *gossipEvery,
-				Seed:     *chaosSeed,
-				Chaos:    chaosPlan,
-				OnView:   onView,
-				Log:      logger.Printf,
-			})
-			opts.Gossip = g
-			gCtx, gCancel := context.WithCancel(context.Background())
-			defer gCancel()
-			go g.Run(gCtx)
-			logger.Printf("gossiping membership as %s every %s", self, *gossipEvery)
 		}
 		srv, err := server.New(opts)
 		if err != nil {
@@ -284,14 +234,6 @@ func run(args []string, stderr io.Writer) int {
 		}
 		handler = srv.Handler()
 		drain = srv.Drain
-		if *join != "" {
-			// Register with the coordinator now and keep re-announcing: a
-			// worker started (or restarted) mid-sweep inserts itself into
-			// the ring and receives only the cells the ring moves to it.
-			annCtx, annCancel := context.WithCancel(context.Background())
-			defer annCancel()
-			go fleet.Announce(annCtx, *join, self, *heartbeat, logger.Printf)
-		}
 	}
 
 	httpSrv := &http.Server{Handler: handler}

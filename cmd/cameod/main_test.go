@@ -96,22 +96,11 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-// TestRunMembershipFlagValidation: the membership/chaos flags fail fast on
-// incoherent combinations — a coordinator cannot -join, and an unparsable
-// -chaos spec is a usage error naming the bad rule.
+// TestRunMembershipFlagValidation: an unparsable -chaos spec is a usage
+// error naming the bad rule.
 func TestRunMembershipFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
-	code := run([]string{"-addr", "127.0.0.1:0", "-coordinator",
-		"-workers", "http://w:1", "-join", "http://c:1"}, &stderr)
-	if code != 2 {
-		t.Fatalf("-coordinator with -join: exit %d, want 2 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-join is a worker flag") {
-		t.Fatalf("stderr lacks the -join diagnostic: %q", stderr.String())
-	}
-
-	stderr.Reset()
-	code = run([]string{"-addr", "127.0.0.1:0", "-chaos", "fleet/dispatch:no-such-kind"}, &stderr)
+	code := run([]string{"-addr", "127.0.0.1:0", "-chaos", "fleet/dispatch:no-such-kind"}, &stderr)
 	if code != 2 {
 		t.Fatalf("bad -chaos spec: exit %d, want 2 (stderr: %s)", code, stderr.String())
 	}
@@ -131,16 +120,6 @@ func TestRunStandbyFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-standby already implies the coordinator role") {
 		t.Fatalf("stderr lacks the -coordinator conflict diagnostic: %q", stderr.String())
-	}
-
-	stderr.Reset()
-	code = run([]string{"-addr", "127.0.0.1:0", "-standby", "http://primary:1",
-		"-join", "http://c:1", "-cachedir", t.TempDir()}, &stderr)
-	if code != 2 {
-		t.Fatalf("-standby with -join: exit %d, want 2 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-join is a worker flag") {
-		t.Fatalf("stderr lacks the -join conflict diagnostic: %q", stderr.String())
 	}
 
 	stderr.Reset()

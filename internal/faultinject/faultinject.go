@@ -13,8 +13,8 @@
 // exercised by tests against the real recovery code. The fleet's HTTP
 // transport consults it per request (SiteFleetDispatch, SiteFleetHeartbeat,
 // SiteFleetCacheFetch) with the network kinds Drop, Latency, Error5xx, and
-// Partition, so membership churn — suspicion, false deaths, warm re-shard —
-// is chaos-tested against deterministic, replayable network schedules too.
+// Partition, so membership churn — suspicion, deaths, false deaths — is
+// chaos-tested against deterministic, replayable network schedules too.
 package faultinject
 
 import (
@@ -49,13 +49,8 @@ const (
 	// partition drills can starve it without touching dispatch traffic.
 	SiteFleetHeartbeat Site = "fleet/heartbeat"
 	// SiteFleetCacheFetch is consulted before a peer-cache transfer
-	// (GET/PUT /cache/<hash>), including warm-prefetch pulls.
+	// (GET/PUT /cache/<hash>).
 	SiteFleetCacheFetch Site = "fleet/cachefetch"
-	// SiteFleetGossip is consulted before an anti-entropy membership
-	// exchange (POST /fleet/gossip) — so partition drills can isolate the
-	// gossip plane (rumors stop spreading) without touching dispatches or
-	// heartbeats, and vice versa.
-	SiteFleetGossip Site = "fleet/gossip"
 )
 
 // Kind is the failure mode a rule injects.

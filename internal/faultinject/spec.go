@@ -13,7 +13,7 @@ import (
 //	site:kind[:opt=value]...
 //
 // with sites job, cacheload, cachestore, fleet/dispatch, fleet/heartbeat,
-// fleet/cachefetch, fleet/gossip; kinds panic, error, hang, stall, corrupt, writefail,
+// fleet/cachefetch; kinds panic, error, hang, stall, corrupt, writefail,
 // drop, latency, error5xx, partition; and options
 //
 //	p=0.25        firing probability (default 1)
@@ -53,7 +53,6 @@ var siteNames = map[string]Site{
 	"fleet/dispatch":   SiteFleetDispatch,
 	"fleet/heartbeat":  SiteFleetHeartbeat,
 	"fleet/cachefetch": SiteFleetCacheFetch,
-	"fleet/gossip":     SiteFleetGossip,
 }
 
 var kindNames = map[string]Kind{
@@ -76,7 +75,7 @@ func parseRule(raw string) (Rule, error) {
 	}
 	site, ok := siteNames[parts[0]]
 	if !ok {
-		return Rule{}, fmt.Errorf("faultinject: unknown site %q (have job, cacheload, cachestore, fleet/dispatch, fleet/heartbeat, fleet/cachefetch, fleet/gossip)", parts[0])
+		return Rule{}, fmt.Errorf("faultinject: unknown site %q (have job, cacheload, cachestore, fleet/dispatch, fleet/heartbeat, fleet/cachefetch)", parts[0])
 	}
 	kind, ok := kindNames[parts[1]]
 	if !ok {

@@ -24,15 +24,15 @@ type Client struct {
 	probe *http.Client
 }
 
-// NewClient builds a worker client. dispatchTimeout bounds one cell
-// dispatch end to end (<=0: no client-side bound; the sweep context still
-// applies). Probes are always bounded at 2s. chaos, when non-nil, wires
-// the deterministic transport fault plan under every request (sites
-// fleet/dispatch and fleet/heartbeat) — the fault-free path is untouched.
-func NewClient(dispatchTimeout time.Duration, chaos *faultinject.Plan) *Client {
+// NewClient builds a worker client. A cell dispatch has no client-side
+// bound (the sweep context bounds it); probes are bounded at 2s. chaos,
+// when non-nil, wires the deterministic transport fault plan under every
+// request (sites fleet/dispatch and fleet/heartbeat) — the fault-free path
+// is untouched.
+func NewClient(chaos *faultinject.Plan) *Client {
 	rt := newChaosTransport(nil, chaos)
 	return &Client{
-		http:  &http.Client{Timeout: dispatchTimeout, Transport: rt},
+		http:  &http.Client{Transport: rt},
 		probe: &http.Client{Timeout: 2 * time.Second, Transport: rt},
 	}
 }
@@ -158,39 +158,6 @@ func waitBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Gossip runs one push-pull membership exchange against a peer's
-// POST /fleet/gossip: send our view, return the peer's merged view. Rides
-// the fleet/gossip fault site so partition drills can isolate the rumor
-// plane.
-func (c *Client) Gossip(ctx context.Context, peer string, req sweepapi.GossipRequest) (sweepapi.GossipResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return sweepapi.GossipResponse{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/fleet/gossip", bytes.NewReader(body))
-	if err != nil {
-		return sweepapi.GossipResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.probe.Do(hreq)
-	if err != nil {
-		return sweepapi.GossipResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return sweepapi.GossipResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return sweepapi.GossipResponse{}, fmt.Errorf("fleet: peer %s gossip: %d %s", peer, resp.StatusCode, errorBody(data))
-	}
-	var out sweepapi.GossipResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return sweepapi.GossipResponse{}, fmt.Errorf("fleet: peer %s gossip answer unparseable: %w", peer, err)
-	}
-	return out, nil
-}
-
 // permanentCellError is a worker's 400: the cell itself is invalid, so no
 // retry or failover can succeed.
 type permanentCellError struct {
@@ -249,37 +216,4 @@ func (c *Client) Healthy(ctx context.Context, worker string) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// Warm pushes a warm-prefetch order to a joining worker: the cell hashes
-// the ring just moved to it and the peers that may hold them. Best-effort
-// — an unreachable or pre-warm worker costs recomputation, not
-// correctness — so the caller only logs failures.
-func (c *Client) Warm(ctx context.Context, worker string, wr sweepapi.WarmRequest) (sweepapi.WarmResponse, error) {
-	body, err := json.Marshal(wr)
-	if err != nil {
-		return sweepapi.WarmResponse{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/cache/warm", bytes.NewReader(body))
-	if err != nil {
-		return sweepapi.WarmResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return sweepapi.WarmResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return sweepapi.WarmResponse{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return sweepapi.WarmResponse{}, fmt.Errorf("fleet: worker %s warm: %d %s", worker, resp.StatusCode, errorBody(data))
-	}
-	var out sweepapi.WarmResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return sweepapi.WarmResponse{}, fmt.Errorf("fleet: worker %s warm answer unparseable: %w", worker, err)
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cameo/internal/faultinject"
 	"cameo/internal/server"
 	"cameo/internal/sweepapi"
 )
@@ -69,7 +71,7 @@ var clientCellReq = sweepapi.Request{Org: "cameo", Benchmarks: []string{"milc"},
 // on: each worker status maps to exactly one error class, because the
 // coordinator's failover logic switches on these types.
 func TestRunCellStatusClassification(t *testing.T) {
-	c := NewClient(0, nil)
+	c := NewClient(nil)
 	ctx := context.Background()
 
 	t.Run("shed-429", func(t *testing.T) {
@@ -117,7 +119,7 @@ func TestRunCellStatusClassification(t *testing.T) {
 // TestRunCellMalformedBodies: a 200 whose body is not a valid response must
 // surface as an error, never as a zero-value result.
 func TestRunCellMalformedBodies(t *testing.T) {
-	c := NewClient(0, nil)
+	c := NewClient(nil)
 	ctx := context.Background()
 
 	t.Run("invalid-json", func(t *testing.T) {
@@ -149,7 +151,7 @@ func TestRunCellConnectionRefused(t *testing.T) {
 	url := srv.URL
 	srv.Close()
 
-	c := NewClient(0, nil)
+	c := NewClient(nil)
 	_, err := c.RunCell(context.Background(), url, clientCellReq)
 	if err == nil {
 		t.Fatal("dispatch to a closed endpoint succeeded")
@@ -204,31 +206,10 @@ func TestWaitBackoff(t *testing.T) {
 	})
 }
 
-// TestClientGossipErrors: a peer that rejects or garbles the exchange
-// surfaces an error (counted by the gossiper as a failed round), never a
-// bogus empty view.
-func TestClientGossipErrors(t *testing.T) {
-	c := NewClient(0, nil)
-	ctx := context.Background()
-	greq := sweepapi.GossipRequest{From: "http://self", View: nil}
-
-	t.Run("non-200", func(t *testing.T) {
-		srv := stubWorker(t, http.StatusNotImplemented, nil, `{"error":"gossip disabled"}`)
-		if _, err := c.Gossip(ctx, srv.URL, greq); err == nil || !strings.Contains(err.Error(), "gossip disabled") {
-			t.Fatalf("501 gossip error = %v, want the peer's message", err)
-		}
-	})
-	t.Run("garbled-answer", func(t *testing.T) {
-		srv := stubWorker(t, http.StatusOK, nil, `{"view": [{`)
-		if _, err := c.Gossip(ctx, srv.URL, greq); err == nil || !strings.Contains(err.Error(), "unparseable") {
-			t.Fatalf("garbled gossip answer error = %v, want unparseable", err)
-		}
-	})
-}
-
 // TestDispatchRetryExhaustion: a healthy worker whose dispatches keep
-// failing burns through DispatchRetries and the cell lands in the failure
-// report (kind "error") — no endless retry loop, no false worker death.
+// failing burns through its dispatch retries and the cell lands in the
+// failure report (kind "error") — no endless retry loop, no false worker
+// death.
 func TestDispatchRetryExhaustion(t *testing.T) {
 	ready, _ := json.Marshal(sweepapi.ReadyState{Ready: true, MaxInflight: 2})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -244,7 +225,7 @@ func TestDispatchRetryExhaustion(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	co, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{srv.URL}, DispatchRetries: 1})
+	co, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{srv.URL}})
 	resp, body := postJSON(t, cts.URL, `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[7]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -258,5 +239,29 @@ func TestDispatchRetryExhaustion(t *testing.T) {
 	}
 	if got := counterValue(t, co.Metrics(), "fleet/dispatch_retries"); got == 0 {
 		t.Error("dispatch_retries = 0 — retries never engaged before exhaustion")
+	}
+}
+
+// TestDispatchDropRetried: one dispatch lost in transit to a healthy worker
+// costs a retry, not the cell — the sweep answers the single-node bytes
+// with no failure record.
+func TestDispatchDropRetried(t *testing.T) {
+	const body = `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[7]}`
+	want := singleNodeReference(t, body)
+	_, w := newFleetWorker(t, server.Options{})
+	plan := faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteFleetDispatch, Kind: faultinject.Drop,
+		Prob: 1, Match: strings.TrimPrefix(w.URL, "http://"), MaxAttempt: 1,
+	})
+	co, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{w.URL}, Chaos: plan})
+	resp, got := postJSON(t, cts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sweep after one dropped dispatch differs from single-node:\nfleet:  %s\nsingle: %s", got, want)
+	}
+	if got := counterValue(t, co.Metrics(), "fleet/dispatch_retries"); got != 1 {
+		t.Errorf("dispatch_retries = %d, want 1", got)
 	}
 }

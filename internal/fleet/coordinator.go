@@ -23,26 +23,14 @@ import (
 
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
-	// Workers are the cameod worker base URLs known at start. At least one
-	// is required; more may join at runtime via POST /fleet/join.
+	// Workers are the cameod worker base URLs of the fleet — its whole
+	// roster: no worker joins later. At least one is required.
 	Workers []string
 	// VNodes is the ring's virtual-node count per worker (<=0:
 	// DefaultVirtualNodes).
 	VNodes int
-	// SlotsPerWorker caps concurrent cell dispatches per worker. <=0 means
-	// admission-aware: each worker's /readyz MaxInflight, probed at sweep
-	// start, so the coordinator fills exactly the slots a worker
-	// advertises and its admission queue never sheds fleet traffic.
-	SlotsPerWorker int
 	// MaxCells caps the grid size a single request may ask for (<=0: 1024).
 	MaxCells int
-	// DispatchRetries is how many times a transport-failed dispatch is
-	// retried against the same worker before the worker is health-probed
-	// and escalated (<0: 0; default 2).
-	DispatchRetries int
-	// DispatchTimeout bounds one cell dispatch (0: unbounded; the sweep
-	// deadline still applies).
-	DispatchTimeout time.Duration
 	// CheckpointDir, when non-empty, persists a cameo-manifest-v1 manifest
 	// (with the fleet extension) per sweep so a restarted coordinator can
 	// resume: completed cells replay from worker caches, and the manifest
@@ -53,11 +41,9 @@ type CoordinatorOptions struct {
 	// over, and the membership event sequence continues past the highest
 	// recorded seq so resumed histories never collide.
 	Resume bool
-	// HeartbeatInterval, when positive, runs the background failure
-	// detector: every interval each alive worker's /healthz is probed, and
-	// misses drive the alive → suspect → dead lifecycle. Zero disables the
-	// detector and restores the legacy behaviour (a dispatch failure whose
-	// health probe also fails kills the worker immediately).
+	// HeartbeatInterval is the failure detector's cadence (<=0: 1s): every
+	// interval each alive worker's /healthz is probed, and misses drive the
+	// alive → suspect → dead lifecycle.
 	HeartbeatInterval time.Duration
 	// SuspectMisses is how many consecutive heartbeat misses turn an alive
 	// worker suspect (<=0: 2). A suspect keeps its ring arcs and queued
@@ -86,27 +72,21 @@ type CoordinatorOptions struct {
 	// coordinator that later reads an epoch above its own from disk has
 	// been superseded and steps down instead of double-driving the fleet.
 	Epoch uint64
-	// Advertise is this coordinator's own base URL, used as the gossip
-	// identity (observers gossip under their own name without advertising
-	// themselves as cache peers). Required when GossipInterval is set.
-	Advertise string
-	// GossipInterval, when positive, runs the anti-entropy gossip loop: the
-	// coordinator exchanges its versioned fleet view with random workers,
-	// feeding the failure detector's verdicts into the rumor mill and
-	// confirming (never trusting) rumors it hears back. Zero disables it.
-	GossipInterval time.Duration
-	// Log receives operational lines (deaths, re-shards, steals, joins).
+	// Log receives operational lines (suspicions, deaths, re-shards).
 	// Nil discards them.
 	Log *log.Logger
 }
+
+// dispatchRetries is how many times a transport-failed dispatch is retried
+// against the same worker before the worker is health-probed.
+const dispatchRetries = 2
 
 // Coordinator shards sweeps across a fleet of cameod workers: consistent-
 // hash placement, bounded per-worker dispatch, work-stealing off the
 // longest queue when a worker goes idle, and self-healing membership — a
 // suspicion-based failure detector (alive → suspect → dead; only dead
-// re-shards), runtime join/re-join via POST /fleet/join, and warm
-// re-sharding that pre-fetches a joiner's cells from peer caches before
-// dispatch. Safe for concurrent sweeps; membership transitions observed by
+// re-shards) whose probes also re-admit a roster worker that answers
+// again. Safe for concurrent sweeps; membership transitions observed by
 // one sweep apply to every active and future sweep.
 type Coordinator struct {
 	opts   CoordinatorOptions
@@ -114,7 +94,6 @@ type Coordinator struct {
 	log    *log.Logger
 	mem    *membership
 	leases *leaseTable
-	gossip *Gossiper
 	epoch  uint64
 
 	// stepped latches once this coordinator discovers a higher epoch on
@@ -126,8 +105,6 @@ type Coordinator struct {
 	runs      map[*sweepRun]struct{}
 	adoptOnce sync.Once
 
-	hbStop    chan struct{}
-	hbDone    chan struct{}
 	bgCancel  context.CancelFunc
 	bgWG      sync.WaitGroup
 	closeOnce sync.Once
@@ -146,9 +123,9 @@ type Coordinator struct {
 	stepDowns  *metrics.Counter
 }
 
-// NewCoordinator validates the options, builds a Coordinator, and — when
-// HeartbeatInterval is set — starts the failure detector. Call Close to
-// stop it.
+// NewCoordinator validates the options, builds a Coordinator, and starts
+// the failure detector (and, with LeaseTTL set, the lease reaper). Call
+// Close to stop them.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("fleet: coordinator needs at least one worker")
@@ -170,8 +147,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.MaxCells <= 0 {
 		opts.MaxCells = 1024
 	}
-	if opts.DispatchRetries < 0 {
-		opts.DispatchRetries = 0
+	if opts.HeartbeatInterval <= 0 {
+		opts.HeartbeatInterval = time.Second
 	}
 	if opts.Log == nil {
 		opts.Log = log.New(io.Discard, "", 0)
@@ -185,20 +162,15 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 			return nil, fmt.Errorf("fleet: checkpoint dir: %w", err)
 		}
 	}
-	if opts.GossipInterval > 0 && opts.Advertise == "" {
-		return nil, errors.New("fleet: gossip needs an advertise URL (the coordinator's own base URL)")
-	}
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
 	}
 	c := &Coordinator{
 		opts:   opts,
-		client: NewClient(opts.DispatchTimeout, opts.Chaos),
+		client: NewClient(opts.Chaos),
 		log:    opts.Log,
 		epoch:  opts.Epoch,
 		runs:   map[*sweepRun]struct{}{},
-		hbStop: make(chan struct{}),
-		hbDone: make(chan struct{}),
 		reg:    metrics.NewRegistry(),
 	}
 	sc := c.reg.Scope("fleet")
@@ -222,34 +194,17 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.leases = newLeaseTable(opts.LeaseTTL)
 	bgCtx, bgCancel := context.WithCancel(context.Background())
 	c.bgCancel = bgCancel
-	if opts.GossipInterval > 0 {
-		c.gossip = NewGossiper(GossipOptions{
-			Self:     opts.Advertise,
-			Seeds:    opts.Workers,
-			Interval: opts.GossipInterval,
-			Seed:     opts.ChaosSeed,
-			Observer: true,
-			Chaos:    opts.Chaos,
-			OnRumor:  c.onGossipRumor,
-			Log:      c.log.Printf,
-		})
-		c.bgWG.Add(1)
-		go func() {
-			defer c.bgWG.Done()
-			c.gossip.Run(bgCtx)
-		}()
-	}
+	c.bgWG.Add(1)
+	go func() {
+		defer c.bgWG.Done()
+		c.heartbeatLoop(bgCtx)
+	}()
 	if c.leases != nil {
 		c.bgWG.Add(1)
 		go func() {
 			defer c.bgWG.Done()
 			c.leaseReaperLoop(bgCtx)
 		}()
-	}
-	if opts.HeartbeatInterval > 0 {
-		go c.heartbeatLoop()
-	} else {
-		close(c.hbDone)
 	}
 	return c, nil
 }
@@ -263,15 +218,11 @@ func normalizeWorkerURL(w string) (string, error) {
 	return w, nil
 }
 
-// Close stops the failure detector, the gossip loop, and the lease reaper.
-// Idempotent; active sweeps finish on their own.
+// Close stops the failure detector and the lease reaper. Idempotent;
+// active sweeps finish on their own.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
-		close(c.hbStop)
 		c.bgCancel()
-		if c.opts.HeartbeatInterval > 0 {
-			<-c.hbDone
-		}
 		c.bgWG.Wait()
 	})
 }
@@ -282,11 +233,6 @@ func (c *Coordinator) Epoch() uint64 { return c.epoch }
 // SteppedDown reports whether this coordinator discovered it was superseded
 // by a higher epoch and refused further work.
 func (c *Coordinator) SteppedDown() bool { return c.stepped.Load() }
-
-// Gossip returns the coordinator's gossiper (nil when GossipInterval is
-// unset) — the Handler routes /fleet/gossip to it, and tests drive
-// exchanges through it directly.
-func (c *Coordinator) Gossip() *Gossiper { return c.gossip }
 
 // Metrics returns the coordinator's counters under the fleet scope.
 func (c *Coordinator) Metrics() metrics.Snapshot { return c.reg.Snapshot() }
@@ -306,13 +252,12 @@ func (c *Coordinator) snapshotRuns() []*sweepRun {
 // heartbeatLoop is the failure detector: every interval, probe the due
 // workers (all alive ones each tick; suspects and dead on their jittered
 // backoff) and apply the resulting transitions.
-func (c *Coordinator) heartbeatLoop() {
-	defer close(c.hbDone)
+func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 	t := time.NewTicker(c.opts.HeartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.hbStop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
@@ -322,12 +267,11 @@ func (c *Coordinator) heartbeatLoop() {
 		// before it re-drives the fleet.
 		c.checkEpochFence()
 		for _, w := range c.mem.due(time.Now()) {
-			select {
-			case <-c.hbStop:
-				return
-			default:
+			ok := c.client.Healthy(ctx, w)
+			if ctx.Err() != nil {
+				return // a probe cut short by Close says nothing
 			}
-			c.applyProbe(w, c.client.Healthy(context.Background(), w))
+			c.applyProbe(ctx, w, ok)
 		}
 	}
 }
@@ -361,47 +305,6 @@ func (c *Coordinator) stepDown(newer uint64) {
 	err := fmt.Errorf("%w: epoch %d superseded by %d", errSteppedDown, c.epoch, newer)
 	for _, r := range c.snapshotRuns() {
 		r.fail(err)
-	}
-}
-
-// onGossipRumor folds an adopted gossip rumor into the failure detector.
-// Rumors are confirmed, never trusted: a death rumor only raises suspicion
-// (the detector's own probes adjudicate), while an alive rumor at a fresh
-// incarnation is first-person testimony — only the member itself bumps its
-// incarnation — and re-admits exactly like a /fleet/join announcement.
-func (c *Coordinator) onGossipRumor(url string, st MemberState, inc uint64) {
-	worker, err := normalizeWorkerURL(url)
-	if err != nil || worker == c.opts.Advertise {
-		return
-	}
-	switch st {
-	case StateAlive:
-		if inc > 0 || c.mem.state(worker) == StateDead {
-			// A refutation (inc > 0) or a previously-unknown joiner heard
-			// about via a third party: admit/revive through the join path.
-			switch c.mem.admit(worker) {
-			case transJoined:
-				c.log.Printf("fleet: worker %s discovered via gossip; admitting", worker)
-				c.admitToRuns(worker)
-			case transRejoined:
-				c.log.Printf("fleet: worker %s refuted its death via gossip (incarnation %d); re-admitting", worker, inc)
-				c.admitToRuns(worker)
-			case transRecovered:
-				c.admitToRuns(worker)
-			}
-		}
-	case StateSuspect, StateDead:
-		if c.mem.state(worker) == StateAlive {
-			c.log.Printf("fleet: gossip rumors worker %s %s; confirming via probes before acting", worker, st)
-			c.suspectWorker(worker)
-		}
-	}
-}
-
-// gossipSet publishes a locally-detected state change into the rumor mill.
-func (c *Coordinator) gossipSet(worker string, st MemberState) {
-	if c.gossip != nil {
-		c.gossip.SetPeerState(worker, st)
 	}
 }
 
@@ -441,42 +344,36 @@ func (c *Coordinator) leaseReaperLoop(ctx context.Context) {
 
 // applyProbe feeds one heartbeat answer into the detector and applies the
 // transition to every active sweep.
-func (c *Coordinator) applyProbe(worker string, ok bool) {
+func (c *Coordinator) applyProbe(ctx context.Context, worker string, ok bool) {
 	switch c.mem.probeResult(worker, ok) {
 	case transSuspected:
 		c.log.Printf("fleet: worker %s suspect (heartbeat missed); pausing dispatch, keeping its cells", worker)
-		c.gossipSet(worker, StateSuspect)
 		for _, r := range c.snapshotRuns() {
 			r.pauseWorker(worker)
 		}
 	case transDied:
 		c.deaths.Inc()
 		c.log.Printf("fleet: worker %s dead (suspicion window elapsed), re-sharding its cells", worker)
-		c.gossipSet(worker, StateDead)
 		for _, r := range c.snapshotRuns() {
 			r.removeWorker(worker)
 			r.checkpointFleet()
 		}
 	case transRecovered:
 		c.log.Printf("fleet: worker %s answered again before the suspicion window elapsed; resuming (no re-shard)", worker)
-		c.gossipSet(worker, StateAlive)
-		c.admitToRuns(worker)
+		c.admitToRuns(ctx, worker)
 	case transRevived:
 		c.log.Printf("fleet: worker %s returned from the dead (false death); re-admitting as a fresh member", worker)
-		c.gossipSet(worker, StateAlive)
-		c.admitToRuns(worker)
+		c.admitToRuns(ctx, worker)
 	}
 }
 
-// declareDead kills a worker immediately (deliberate departure: draining,
-// or the legacy no-heartbeat dispatch-failure path) and re-shards it out
-// of every active sweep.
+// declareDead kills a worker immediately (a deliberate departure: the
+// worker is draining) and re-shards it out of every active sweep.
 func (c *Coordinator) declareDead(worker string) {
 	if c.mem.forceDead(worker) != transDied {
 		return
 	}
 	c.deaths.Inc()
-	c.gossipSet(worker, StateDead)
 	for _, r := range c.snapshotRuns() {
 		r.removeWorker(worker)
 		r.checkpointFleet()
@@ -491,62 +388,37 @@ func (c *Coordinator) suspectWorker(worker string) {
 		return
 	}
 	c.log.Printf("fleet: worker %s suspect (dispatch failed and health probe missed); pausing dispatch, keeping its cells", worker)
-	c.gossipSet(worker, StateSuspect)
 	for _, r := range c.snapshotRuns() {
 		r.pauseWorker(worker)
 	}
 }
 
 // workerSlots probes a worker's /readyz for its advertised dispatch
-// concurrency (admission-aware placement), clamped by SlotsPerWorker.
+// concurrency (admission-aware placement): the coordinator fills exactly
+// the slots a worker advertises, so its admission queue never sheds fleet
+// traffic.
 func (c *Coordinator) workerSlots(ctx context.Context, worker string) (int, bool) {
 	st, err := c.client.Ready(ctx, worker)
 	if err != nil || !st.Ready {
 		return 0, false
 	}
-	n := st.MaxInflight
-	if c.opts.SlotsPerWorker > 0 && c.opts.SlotsPerWorker < n {
-		n = c.opts.SlotsPerWorker
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n, true
+	return max(st.MaxInflight, 1), true
 }
 
-// admitToRuns inserts a (re-)joined worker into every active sweep: the
-// ring moves exactly the cells whose arcs the joiner's virtual nodes now
-// own (the PR-6 remap bound — no other worker's cells move), those cells'
-// cache hashes are warm-pushed so the joiner pre-fetches finished results
-// from its peers before anything dispatches, and only then does dispatch
-// to the joiner resume.
-func (c *Coordinator) admitToRuns(worker string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+// admitToRuns returns a recovered or revived worker to every active sweep:
+// a paused suspect resumes with the cells it kept, and a worker new to a
+// sweep takes exactly the queued cells whose arcs its virtual nodes now
+// own (the remap bound — no other worker's cells move).
+func (c *Coordinator) admitToRuns(ctx context.Context, worker string) {
 	slots, ready := c.workerSlots(ctx, worker)
 	if !ready {
-		// Joined but not admitting sweeps yet: leave it in the ring for
-		// future sweeps; this run proceeds without it.
-		c.log.Printf("fleet: worker %s joined but /readyz not answering; deferring its dispatch", worker)
+		// Alive but not admitting sweeps yet: it stays in the ring for
+		// future sweeps; the active ones proceed without it.
+		c.log.Printf("fleet: worker %s answered /healthz but /readyz is not ready; deferring its dispatch", worker)
 		return
 	}
-	var peers []string
-	for _, p := range c.mem.ringMembers() {
-		if p != worker {
-			peers = append(peers, p)
-		}
-	}
 	for _, r := range c.snapshotRuns() {
-		hashes := r.addWorker(worker, slots)
-		if len(hashes) > 0 {
-			resp, err := c.client.Warm(ctx, worker, sweepapi.WarmRequest{Hashes: hashes, Peers: peers})
-			if err != nil {
-				c.log.Printf("fleet: warm push to %s failed: %v (its cells compute cold)", worker, err)
-			} else {
-				c.log.Printf("fleet: warmed %s: %d/%d cells pre-fetched from peers", worker, resp.Hits, len(hashes))
-			}
-		}
-		r.activateWorker(worker)
+		r.addWorker(worker, slots)
 		r.checkpointFleet()
 	}
 }
@@ -576,8 +448,8 @@ type runStatus int
 const (
 	// runActive: dispatch loops pull from its queue.
 	runActive runStatus = iota
-	// runPaused: a suspect (or still-warming joiner); its loops park, its
-	// queued cells stay put but remain stealable by idle workers.
+	// runPaused: a suspect; its loops park, its queued cells stay put but
+	// remain stealable by idle workers.
 	runPaused
 	// runGone: dead for this sweep; queue re-sharded, loops exited.
 	runGone
@@ -613,7 +485,7 @@ type sweepRun struct {
 // Run executes one sweep across the fleet and returns the merged
 // response — cells in request order, failures key-sorted — byte-for-byte
 // the response a single worker would have produced for the same request,
-// under any membership schedule (joins, suspicions, deaths, re-joins)
+// under any membership schedule (suspicions, deaths, re-admissions)
 // along the way. The error mirrors the worker contract: *errBadRequest
 // for invalid requests, the context error on cancellation, a plain error
 // when the whole fleet is lost. Worker-quarantined cells are not an
@@ -673,8 +545,8 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	// Build the ring over the current membership and probe each worker's
 	// admission state: the advertised MaxInflight sizes its dispatch slots
 	// (admission-aware placement). A worker that cannot answer /readyz is
-	// excluded — immediately dead in legacy mode, merely suspect (and
-	// re-admittable mid-sweep) when the failure detector runs.
+	// suspected and left out; the detector re-admits it mid-sweep once its
+	// probes answer again.
 	members := c.mem.ringMembers()
 	if len(members) == 0 {
 		return nil, errors.New("fleet: no live workers")
@@ -684,13 +556,8 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	for _, w := range members {
 		n, ready := c.workerSlots(ctx, w)
 		if !ready {
-			if c.opts.HeartbeatInterval > 0 {
-				c.log.Printf("fleet: worker %s not ready at sweep start, suspecting (the detector may re-admit it)", w)
-				c.suspectWorker(w)
-			} else {
-				c.log.Printf("fleet: worker %s not ready at sweep start, excluding", w)
-				c.declareDead(w)
-			}
+			c.log.Printf("fleet: worker %s not ready at sweep start, suspecting (the detector may re-admit it)", w)
+			c.suspectWorker(w)
 			continue
 		}
 		slots[w] = n
@@ -828,23 +695,26 @@ func (s *sweepRun) spawnLoopsLocked(worker string, n int) {
 	}
 }
 
-// addWorker inserts a (re-)joining worker into this sweep, paused: it
-// becomes a ring member, exactly the queued cells whose arcs it now owns
-// move to its queue (no other queue changes — the consistent-hashing remap
-// bound), and its dispatch loops spawn parked. Returns the cache hashes of
-// the cells it received so the caller can warm-push them before
-// activateWorker releases dispatch. Returns nil when the worker is already
-// a member or the sweep has resolved.
-func (s *sweepRun) addWorker(worker string, slots int) []string {
+// addWorker makes a recovered or revived worker dispatchable in this
+// sweep. A paused suspect resumes: it kept its arcs and its queue. A worker
+// new to the sweep becomes a ring member, exactly the queued cells whose
+// arcs it now owns move to its queue (no other queue changes — the
+// consistent-hashing remap bound), and its dispatch loops spawn. No-op once
+// the sweep has resolved.
+func (s *sweepRun) addWorker(worker string, slots int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer func() {
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	}()
 	if s.closed || s.fatal != nil || s.pending == 0 {
-		return nil
+		return
 	}
 	if rw, ok := s.workers[worker]; ok && rw.status != runGone {
-		return nil
+		rw.status = runActive
+		return
 	}
-	s.workers[worker] = &runWorker{status: runPaused}
+	s.workers[worker] = &runWorker{status: runActive}
 	s.ring.Add(worker)
 	var moved []*fleetCell
 	for ow, q := range s.queues {
@@ -861,24 +731,8 @@ func (s *sweepRun) addWorker(worker string, slots int) []string {
 		}
 		s.queues[ow] = kept
 	}
-	hashes := make([]string, 0, len(moved))
-	for _, fc := range moved {
-		s.queues[worker] = append(s.queues[worker], fc)
-		hashes = append(hashes, fc.hash)
-	}
-	sort.Strings(hashes)
+	s.queues[worker] = append(s.queues[worker], moved...)
 	s.spawnLoopsLocked(worker, slots)
-	return hashes
-}
-
-// activateWorker releases a paused worker's dispatch loops.
-func (s *sweepRun) activateWorker(worker string) {
-	s.mu.Lock()
-	if rw, ok := s.workers[worker]; ok && rw.status == runPaused {
-		rw.status = runActive
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // pauseWorker parks a suspect's dispatch loops; its queue stays (and stays
@@ -1075,7 +929,7 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			return
 		default:
 			attempts++
-			if attempts <= s.co.opts.DispatchRetries {
+			if attempts <= dispatchRetries {
 				s.co.retries.Inc()
 				if err := waitBackoff(s.ctx, time.Duration(attempts)*100*time.Millisecond); err != nil {
 					s.fail(err)
@@ -1100,19 +954,11 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 				})
 				return
 			}
-			if s.co.opts.HeartbeatInterval > 0 {
-				// Suspicion mode: never kill on one bad dispatch — a
-				// dropped connection or a GC pause is not a crash. Park
-				// the worker, put the cell back (its queue is stealable),
-				// and let the failure detector adjudicate.
-				s.co.suspectWorker(worker)
-				s.requeue(worker, fc)
-				return
-			}
-			// Legacy mode (no detector): the probe is all the evidence
-			// there will be; declare the worker dead and re-shard.
-			s.co.log.Printf("fleet: worker %s lost (%v), re-sharding its cells", worker, err)
-			s.co.declareDead(worker)
+			// Never kill on one bad dispatch — a dropped connection or a
+			// GC pause is not a crash. Park the worker, put the cell back
+			// (its queue is stealable), and let the failure detector
+			// adjudicate.
+			s.co.suspectWorker(worker)
 			s.requeue(worker, fc)
 			return
 		}
@@ -1137,7 +983,7 @@ func (s *sweepRun) ended() bool {
 }
 
 // resolve records a worker's answer for one cell. Duplicate answers for
-// the same canonical cell key (a re-joined worker's stale dispatch racing
+// the same canonical cell key (a revived worker's stale dispatch racing
 // the re-assigned one) are dropped here — the dedupe that guarantees no
 // cell resolves twice whatever the membership churn.
 func (s *sweepRun) resolve(fc *fleetCell, resp *sweepapi.Response) {
@@ -1295,9 +1141,8 @@ func firstLine(msg string) string {
 }
 
 // Handler returns the coordinator's HTTP routes: the same /sweep contract
-// a worker serves (so clients are fleet-agnostic), /fleet/join for
-// runtime registration, /healthz, /readyz with the fleet membership
-// picture, and /metrics.
+// a worker serves (so clients are fleet-agnostic), /healthz, /readyz with
+// the fleet membership picture, and /metrics.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -1312,80 +1157,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/sweep", c.handleSweep)
-	mux.HandleFunc("/fleet/join", c.handleJoin)
-	mux.HandleFunc("/fleet/gossip", c.handleGossip)
 	return mux
-}
-
-// handleGossip serves the anti-entropy exchange on the coordinator side:
-// workers (and the standby) push their views here and take the
-// coordinator's merged view home. 501 when gossip is disabled, mirroring
-// the worker's unsupported-capability convention.
-func (c *Coordinator) handleGossip(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if c.gossip == nil {
-		writeError(w, http.StatusNotImplemented, "gossip disabled on this coordinator")
-		return
-	}
-	var gr sweepapi.GossipRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&gr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad gossip body: "+err.Error())
-		return
-	}
-	resp := c.gossip.Exchange(gr)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		c.log.Printf("fleet: gossip response: %v", err)
-	}
-}
-
-// handleJoin serves runtime worker registration: a new worker joins the
-// ring, a dead one is re-admitted as a fresh member (its prior cells were
-// already re-assigned; the coordinator's per-key dedupe makes double
-// execution harmless), and a re-announcement from a live member is an
-// idempotent no-op.
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var jr sweepapi.JoinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad join body: "+err.Error())
-		return
-	}
-	worker, err := normalizeWorkerURL(jr.Worker)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var status string
-	switch c.mem.admit(worker) {
-	case transJoined:
-		status = "joined"
-		c.log.Printf("fleet: worker %s joined at runtime", worker)
-		c.gossipSet(worker, StateAlive)
-		c.admitToRuns(worker)
-	case transRejoined:
-		status = "rejoined"
-		c.log.Printf("fleet: worker %s re-joined after death; re-admitting as a fresh member", worker)
-		c.gossipSet(worker, StateAlive)
-		c.admitToRuns(worker)
-	case transRecovered:
-		status = "already-member"
-		c.log.Printf("fleet: suspect worker %s announced itself; resuming (no re-shard)", worker)
-		c.gossipSet(worker, StateAlive)
-		c.admitToRuns(worker)
-	default:
-		status = "already-member"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(sweepapi.JoinResponse{Status: status}); err != nil {
-		c.log.Printf("fleet: join response: %v", err)
-	}
 }
 
 // coordReady is the coordinator's /readyz body: ready while at least one
@@ -1419,8 +1191,8 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req sweepapi.Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	req, err := sweepapi.DecodeRequest(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,95 +37,6 @@ func counterOrZero(snap metrics.Snapshot, name string) uint64 {
 	return 0
 }
 
-// TestFleetRuntimeJoinMidSweep: a sweep starts on one slow worker; a
-// second worker joins through POST /fleet/join while cells are still
-// queued. The joiner must receive (only) the cells the ring moves to it,
-// the merged report must stay byte-identical to single-node, and the
-// joins counter must record the runtime registration.
-func TestFleetRuntimeJoinMidSweep(t *testing.T) {
-	want := singleNodeReference(t, fleetSweepBody)
-
-	slowExec := func(ctx context.Context, j runner.Job) system.Result {
-		select {
-		case <-time.After(60 * time.Millisecond):
-		case <-ctx.Done():
-		}
-		return coordFakeExecute(ctx, j)
-	}
-	_, w1 := newFleetWorker(t, server.Options{Execute: slowExec, MaxInflight: 1, Jobs: 1})
-	w2srv, w2 := newFleetWorker(t, server.Options{})
-
-	co, cts := newTestCoordinator(t, CoordinatorOptions{
-		Workers:           []string{w1.URL},
-		HeartbeatInterval: 50 * time.Millisecond,
-	})
-	t.Cleanup(co.Close)
-
-	// Fire the sweep, then join w2 while w1 grinds through its queue.
-	type result struct {
-		status int
-		body   []byte
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, b := postJSON(t, cts.URL, fleetSweepBody)
-		done <- result{resp.StatusCode, b}
-	}()
-	time.Sleep(120 * time.Millisecond) // a couple of slow cells in
-
-	jr, err := http.Post(cts.URL+"/fleet/join", "application/json",
-		strings.NewReader(`{"worker":"`+w2.URL+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(jr.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	jr.Body.Close()
-	if ack.Status != "joined" {
-		t.Fatalf("join status = %q, want joined", ack.Status)
-	}
-
-	res := <-done
-	if res.status != http.StatusOK {
-		t.Fatalf("sweep status %d: %s", res.status, res.body)
-	}
-	if !bytes.Equal(res.body, want) {
-		t.Errorf("post-join response differs from single-node:\nfleet:  %s\nsingle: %s", res.body, want)
-	}
-	snap := co.Metrics()
-	if got := counterOrZero(snap, "fleet/joins"); got != 2 {
-		t.Errorf("fleet/joins = %d, want 2 (flag-listed + runtime)", got)
-	}
-	if got := counterOrZero(snap, "fleet/worker_deaths"); got != 0 {
-		t.Errorf("worker_deaths = %d, want 0", got)
-	}
-	// The joiner actually worked: the slow worker alone would have taken
-	// ~12 * 60ms; the joiner must have executed some of the moved cells.
-	if got := counterValue(t, w2srv.Metrics(), "server/cells_executed"); got == 0 {
-		t.Errorf("joiner executed 0 cells — join did not move work")
-	}
-	// A repeat announcement is an idempotent no-op.
-	jr2, err := http.Post(cts.URL+"/fleet/join", "application/json",
-		strings.NewReader(`{"worker":"`+w2.URL+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(jr2.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	jr2.Body.Close()
-	if ack.Status != "already-member" {
-		t.Errorf("repeat join status = %q, want already-member", ack.Status)
-	}
-	if got := counterOrZero(co.Metrics(), "fleet/joins"); got != 2 {
-		t.Errorf("fleet/joins after repeat announce = %d, want still 2", got)
-	}
-}
-
 // TestFleetPartitionShorterThanSuspicionWindow is the in-process
 // partition drill: a chaos plan isolates one worker's heartbeat channel
 // for a bounded window shorter than the suspicion window. The worker
@@ -153,7 +63,6 @@ func TestFleetPartitionShorterThanSuspicionWindow(t *testing.T) {
 		DeadMisses:        6,
 		Chaos:             plan,
 	})
-	t.Cleanup(co.Close)
 
 	waitFor(t, 5*time.Second, "w2 suspected", func() bool {
 		return counterOrZero(co.Metrics(), "fleet/suspects") >= 1
@@ -213,7 +122,6 @@ func TestFleetFalseDeathRevival(t *testing.T) {
 		SuspectMisses:     1,
 		DeadMisses:        2,
 	})
-	t.Cleanup(co.Close)
 
 	partitioned.Store(true)
 	waitFor(t, 5*time.Second, "w2 declared dead", func() bool {
@@ -255,10 +163,10 @@ func TestFleetFalseDeathRevival(t *testing.T) {
 }
 
 // TestFleetDeadWorkerRejoinDedupe: a sweep survives its worker dying
-// (cells re-shard to the survivor) and the dead worker re-joining
-// mid-sweep — the canonical-cell-key dedupe means any stale in-flight
-// answer from the re-joiner cannot double-resolve a cell, and the merged
-// bytes still match single-node.
+// (cells re-shard to the survivor) and the detector's probe re-admitting
+// the dead worker mid-sweep — the canonical-cell-key dedupe means any
+// stale in-flight answer from the re-admitted worker cannot double-resolve
+// a cell, and the merged bytes still match single-node.
 func TestFleetDeadWorkerRejoinDedupe(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
@@ -297,9 +205,7 @@ func TestFleetDeadWorkerRejoinDedupe(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectMisses:     1,
 		DeadMisses:        2,
-		DispatchRetries:   0,
 	})
-	t.Cleanup(co.Close)
 
 	done := make(chan []byte, 1)
 	status := make(chan int, 1)
@@ -315,14 +221,11 @@ func TestFleetDeadWorkerRejoinDedupe(t *testing.T) {
 		return co.mem.state(w2.URL) == StateDead
 	})
 	partitioned.Store(false)
-	// Explicit re-join (the restarted worker announcing itself) rather
-	// than waiting for the slow dead-probe cadence.
-	jr, err := http.Post(cts.URL+"/fleet/join", "application/json",
-		strings.NewReader(`{"worker":"`+w2.URL+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr.Body.Close()
+	// The dead worker is still probed on its slow cadence; the first
+	// answer re-admits it, typically while the sweep is still running.
+	waitFor(t, 5*time.Second, "w2 re-admitted by the probe", func() bool {
+		return co.mem.state(w2.URL) == StateAlive
+	})
 
 	if st := <-status; st != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", st, <-done)

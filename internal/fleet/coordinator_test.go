@@ -58,6 +58,7 @@ func newTestCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *h
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	return c, ts
@@ -113,10 +114,11 @@ func TestFleetByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerLossMidSweep kills a worker (connection-level failures,
-// then a failing health probe) partway through a sweep: the coordinator
-// must re-shard its cells onto the survivor and still produce the
-// single-node bytes.
+// TestFleetWorkerLossMidSweep kills a worker (failing dispatches and
+// failing health probes) partway through a sweep: the survivor must take
+// over its cells — stolen while it is suspect, re-sharded once it is dead —
+// the sweep must still produce the single-node bytes, and the failure
+// detector must declare the worker dead.
 func TestFleetWorkerLossMidSweep(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
@@ -146,8 +148,10 @@ func TestFleetWorkerLossMidSweep(t *testing.T) {
 	t.Cleanup(doomed.Close)
 
 	co, cts := newTestCoordinator(t, CoordinatorOptions{
-		Workers:         []string{survivor.URL, doomed.URL},
-		DispatchRetries: 1,
+		Workers:           []string{survivor.URL, doomed.URL},
+		HeartbeatInterval: 20 * time.Millisecond,
+		SuspectMisses:     1,
+		DeadMisses:        2,
 	})
 	resp, got := postJSON(t, cts.URL, fleetSweepBody)
 	if resp.StatusCode != http.StatusOK {
@@ -157,12 +161,12 @@ func TestFleetWorkerLossMidSweep(t *testing.T) {
 		t.Errorf("post-loss response differs from single-node:\nfleet:  %s\nsingle: %s", got, want)
 	}
 	snap := co.Metrics()
-	if got := counterValue(t, snap, "fleet/worker_deaths"); got != 1 {
-		t.Errorf("worker_deaths = %d, want 1", got)
+	if got := counterOrZero(snap, "fleet/cells_resharded") + counterOrZero(snap, "fleet/cells_stolen"); got == 0 {
+		t.Errorf("cells_resharded + cells_stolen = 0, want > 0 (the lost worker owned cells)")
 	}
-	if got := counterValue(t, snap, "fleet/cells_resharded"); got == 0 {
-		t.Errorf("cells_resharded = 0, want > 0 (the dead worker owned cells)")
-	}
+	waitFor(t, 5*time.Second, "the doomed worker declared dead", func() bool {
+		return counterOrZero(co.Metrics(), "fleet/worker_deaths") == 1
+	})
 	// The dead worker stays dead for the coordinator's next sweep.
 	resp2, got2 := postJSON(t, cts.URL, fleetSweepBody)
 	if resp2.StatusCode != http.StatusOK || !bytes.Equal(got2, want) {
@@ -323,6 +327,7 @@ func TestFleetCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(co.Close)
 	var req sweepapi.Request
 	if err := json.Unmarshal([]byte(fleetSweepBody), &req); err != nil {
 		t.Fatal(err)
@@ -359,6 +364,7 @@ func TestFleetCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(co2.Close)
 	if _, err := co2.Run(context.Background(), req); err != nil {
 		t.Fatalf("resume Run: %v", err)
 	}
@@ -382,6 +388,7 @@ func TestFleetCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(co.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	var req sweepapi.Request
@@ -399,10 +406,10 @@ func TestFleetCancellation(t *testing.T) {
 }
 
 // TestSweepDeadlineSparesHealthyWorker: a worker answers 504 (its copy of
-// the sweep's deadline fired) and its health probe hangs until the sweep's
-// own deadline cuts it short. The sweep must end with the deadline error,
-// evict no worker and record no cell failure, and the next sweep must
-// still dispatch to that worker.
+// the sweep's deadline fired) to every dispatch and its retries, and its
+// health probe hangs until the sweep's own deadline cuts it short. The
+// sweep must end with the deadline error, evict no worker and record no
+// cell failure, and the next sweep must still dispatch to that worker.
 func TestSweepDeadlineSparesHealthyWorker(t *testing.T) {
 	var dispatches atomic.Int64
 	mux := http.NewServeMux()
@@ -423,16 +430,20 @@ func TestSweepDeadlineSparesHealthyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(co.Close)
 	req := sweepapi.Request{Org: "cameo", Benchmarks: []string{"milc"}}
+	// The deadline leaves room for both retry backoffs (100 ms, then
+	// 200 ms), so the probe after the last retry is what it cuts short.
+	const perSweep = 1 + dispatchRetries
 	for sweep := int64(1); sweep <= 2; sweep++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		_, err := co.Run(ctx, req)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("sweep %d: Run error = %v, want deadline exceeded", sweep, err)
 		}
-		if got := dispatches.Load(); got != sweep {
-			t.Fatalf("after sweep %d the worker saw %d dispatches, want %d", sweep, got, sweep)
+		if got := dispatches.Load(); got != sweep*perSweep {
+			t.Fatalf("after sweep %d the worker saw %d dispatches, want %d", sweep, got, sweep*perSweep)
 		}
 	}
 	snap := co.Metrics()
@@ -463,6 +474,15 @@ func TestCoordinatorValidation(t *testing.T) {
 	resp, body := postJSON(t, cts.URL, `{"org":"nope","benchmarks":["milc"]}`)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown organization") {
 		t.Errorf("bad org: status %d body %s", resp.StatusCode, body)
+	}
+	// So does a field the request schema does not have: a misspelled
+	// "sede" must not silently run the default seed, and the retired
+	// "shards" is gone from the schema.
+	for _, field := range []string{"sede", "shards"} {
+		resp, body := postJSON(t, cts.URL, `{"org":"cameo","benchmarks":["milc"],"`+field+`":7}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"`+field) {
+			t.Errorf("unknown field %q: status %d body %s", field, resp.StatusCode, body)
+		}
 	}
 	// GET /sweep is rejected.
 	gresp, err := http.Get(cts.URL + "/sweep")

@@ -141,7 +141,6 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 		Workers:  []string{stalled.URL, healthy.URL},
 		LeaseTTL: 100 * time.Millisecond,
 	})
-	t.Cleanup(co.Close)
 
 	resp, got := postJSON(t, cts.URL, fleetSweepBody)
 	if resp.StatusCode != http.StatusOK {

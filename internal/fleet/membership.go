@@ -1,28 +1,21 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"cameo/internal/metrics"
 	"cameo/internal/runner"
-	"cameo/internal/sweepapi"
 )
 
 // MemberState is a worker's position in the failure-detection lifecycle.
 //
 //	alive ──misses──▶ suspect ──more misses──▶ dead
 //	  ▲                  │                       │
-//	  └──── probe ok ────┘      probe ok / join ─┘  (re-admitted fresh)
+//	  └──── probe ok ────┘           probe ok ───┘  (re-admitted fresh)
 //
 // Only the suspect→dead edge triggers a re-shard; a suspect keeps its ring
 // arcs and its queued cells (stealable by idle workers), so a dropped
@@ -53,9 +46,9 @@ func (s MemberState) String() string {
 	return fmt.Sprintf("MemberState(%d)", int(s))
 }
 
-// transition is what a probe result or join changed, returned so the
-// coordinator can apply side effects (pause, re-shard, warm re-admit)
-// outside the membership lock.
+// transition is what a probe result changed, returned so the coordinator
+// can apply side effects (pause, re-shard, re-admit) outside the
+// membership lock.
 type transition int
 
 const (
@@ -69,22 +62,17 @@ const (
 	// transRevived: dead → alive via a successful probe — the death was
 	// false (partition outlasted the window). Re-admit as a fresh member.
 	transRevived
-	// transJoined: a new worker registered.
-	transJoined
-	// transRejoined: a dead worker re-registered via /fleet/join.
-	transRejoined
 )
 
 // member is one worker's detector state.
 type member struct {
 	state     MemberState
 	misses    int           // consecutive failed probes
-	gen       int           // admission generation; bumps on re-admit
 	backoff   time.Duration // current suspect/dead probe backoff
 	nextProbe time.Time     // due time for suspect/dead probes
 }
 
-// membership is the coordinator's failure detector and join registry: the
+// membership is the coordinator's failure detector and roster: the
 // three-state lifecycle per worker, heartbeat-miss accounting with
 // jittered probe backoff, and the monotonic join/leave event log the
 // manifest records. All methods are safe for concurrent use; none calls
@@ -157,44 +145,22 @@ func (m *membership) record(kind, worker string) {
 	m.events = append(m.events, runner.FleetEvent{Seq: m.seq, Kind: kind, Worker: worker})
 }
 
-// admit registers a worker (a flag-listed worker at startup, a runtime
-// POST /fleet/join, or a dead worker probing healthy again). The returned
-// transition tells the coordinator whether ring/sweep state must change.
-func (m *membership) admit(worker string) transition {
+// admit registers a roster worker (the -workers list at startup, or the
+// primary a standby watches) as alive. Admitting a known worker is a
+// no-op: a dead worker comes back only through a successful probe.
+func (m *membership) admit(worker string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mb, ok := m.members[worker]
-	if !ok {
-		m.members[worker] = &member{state: StateAlive}
-		m.record("join", worker)
-		inc(m.joins)
-		return transJoined
+	if _, ok := m.members[worker]; ok {
+		return
 	}
-	switch mb.state {
-	case StateDead:
-		// Re-admitted as a fresh ring member: its prior in-flight cells
-		// were already re-assigned when it died, so it starts clean.
-		mb.state = StateAlive
-		mb.misses = 0
-		mb.gen++
-		mb.backoff = 0
-		m.record("rejoin", worker)
-		inc(m.joins)
-		return transRejoined
-	case StateSuspect:
-		// The worker itself says it is up — as good as a probe success.
-		mb.state = StateAlive
-		mb.misses = 0
-		mb.backoff = 0
-		return transRecovered
-	default:
-		return transNone
-	}
+	m.members[worker] = &member{state: StateAlive}
+	m.record("join", worker)
+	inc(m.joins)
 }
 
 // forceDead declares a worker dead immediately, bypassing suspicion — for
-// deliberate departures (a draining worker) and for the legacy
-// dispatch-failure path when heartbeats are disabled.
+// deliberate departures (a draining worker).
 func (m *membership) forceDead(worker string) transition {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -250,7 +216,6 @@ func (m *membership) probeResult(worker string, ok bool) transition {
 			// sentence. Count it and re-admit fresh.
 			mb.state = StateAlive
 			mb.misses = 0
-			mb.gen++
 			mb.backoff = 0
 			inc(m.falseDeaths)
 			m.record("rejoin", worker)
@@ -373,7 +338,7 @@ func (m *membership) eventLog() []runner.FleetEvent {
 // flag-listed joins) are re-sequenced to continue past the highest prior
 // seq — so the merged history stays strictly monotonic — and workers the
 // prior run declared dead start dead here too; they re-admit only
-// through a successful probe or an explicit /fleet/join.
+// through a successful probe.
 func (m *membership) adoptPrior(fs *runner.FleetState) {
 	if fs == nil {
 		return
@@ -404,66 +369,4 @@ func (m *membership) adoptPrior(fs *runner.FleetState) {
 		mb.backoff = 4 * m.interval
 		mb.nextProbe = time.Now().Add(m.jittered(mb.backoff))
 	}
-}
-
-// Announce registers self with a coordinator's /fleet/join and keeps
-// re-announcing every interval until ctx dies. The first successful
-// registration is logged; re-announcements are idempotent no-ops on the
-// coordinator (and are what re-admit this worker automatically after a
-// coordinator restart or a false death). Failures retry at the same
-// cadence — a worker that outlives a coordinator blip re-joins by itself.
-func Announce(ctx context.Context, coordinator, self string, interval time.Duration, logf func(format string, v ...any)) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	coordinator = strings.TrimRight(coordinator, "/")
-	body, _ := json.Marshal(sweepapi.JoinRequest{Worker: self})
-	client := &http.Client{Timeout: 2 * time.Second}
-	registered := false
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, coordinator+"/fleet/join", bytes.NewReader(body))
-		if err != nil {
-			logf("fleet: join request: %v", err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		switch {
-		case err != nil:
-			if ctx.Err() != nil {
-				return
-			}
-			logf("fleet: join %s: %v (retrying)", coordinator, err)
-		case resp.StatusCode == http.StatusOK:
-			if !registered {
-				logf("fleet: joined coordinator %s as %s", coordinator, self)
-				registered = true
-			}
-			drainBody(resp.Body)
-		default:
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			drainBody(resp.Body)
-			logf("fleet: join %s rejected: %d %s (retrying)", coordinator, resp.StatusCode, firstLine(string(b)))
-		}
-		t := time.NewTimer(interval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// drainBody reads a response body to EOF (bounded — a server cannot make
-// us buffer arbitrary bytes) before closing it, so the keep-alive
-// connection returns to the client pool instead of being torn down; an
-// Announce loop re-POSTing every few seconds would otherwise open a fresh
-// connection per heartbeat.
-func drainBody(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, 4<<10)) //nolint:errcheck // best-effort drain
-	body.Close()
 }

@@ -32,8 +32,8 @@ type PeerTier struct {
 
 	// peers holds an immutable []string snapshot of peer base URLs
 	// ("http://host:port"), replaced wholesale by SetPeers (copy-on-write).
-	// Readers load one snapshot and iterate it unlocked, so a live gossip
-	// view update never blocks — or tears — an in-flight cache fetch.
+	// Readers load one snapshot and iterate it unlocked, so a live update
+	// never blocks — or tears — an in-flight cache fetch.
 	peers atomic.Value
 
 	reg        *metrics.Registry
@@ -43,8 +43,6 @@ type PeerTier struct {
 	rejects    *metrics.Counter
 	peerErrors *metrics.Counter
 	stores     *metrics.Counter
-	warmHits   *metrics.Counter
-	warmMisses *metrics.Counter
 }
 
 // NewPeerTier composes the shared tier over a worker's local cache.
@@ -67,8 +65,6 @@ func NewPeerTier(local *runner.DiskCache, peers []string, timeout time.Duration)
 	t.rejects = sc.Counter("rejects")
 	t.peerErrors = sc.Counter("peer_errors")
 	t.stores = sc.Counter("stores")
-	t.warmHits = sc.Counter("warm_prefetch_hits")
-	t.warmMisses = sc.Counter("warm_prefetch_misses")
 	return t
 }
 
@@ -81,8 +77,8 @@ func (t *PeerTier) SetChaos(plan *faultinject.Plan) {
 // SetPeers replaces the peer list, copy-on-write: the input is copied into
 // a fresh snapshot and published atomically, so concurrent Loads keep the
 // list they started with and the next Load sees the new one. Safe to call
-// at any time — this is how the gossip view keeps a long-lived worker's
-// cache tier current as members join and die, without restarts.
+// at any time, including while the tier serves traffic — so peers can be
+// wired after their servers have started.
 func (t *PeerTier) SetPeers(peers []string) {
 	t.peers.Store(append([]string(nil), peers...))
 }
@@ -149,56 +145,9 @@ func (t *PeerTier) Store(hash string, res system.Result) {
 	t.stores.Inc()
 }
 
-// Warm pre-fetches the given cell hashes from the given peers (falling
-// back to the tier's configured peers when the list is empty) into the
-// local disk — the joining-worker half of the warm re-shard protocol.
-// Every fetched envelope passes the same verify-on-read check Load uses;
-// a hash no peer holds is a miss (its cell simply computes on dispatch).
-// Returns (hits, misses); already-local entries count as hits without
-// touching the network.
-func (t *PeerTier) Warm(peers, hashes []string) (hits, misses int) {
-	if len(peers) == 0 {
-		peers = t.Peers()
-	}
-	for _, h := range hashes {
-		if _, ok := t.local.LoadRaw(h); ok {
-			hits++
-			t.warmHits.Inc()
-			continue
-		}
-		fetched := false
-		for _, p := range peers {
-			data, err := t.fetch(p, h)
-			if err != nil {
-				if err != errNotFound {
-					t.peerErrors.Inc()
-				}
-				continue
-			}
-			if _, err := runner.DecodeEntry(data); err != nil {
-				t.rejects.Inc()
-				continue
-			}
-			if err := t.local.StoreRaw(h, data); err != nil {
-				continue
-			}
-			fetched = true
-			break
-		}
-		if fetched {
-			hits++
-			t.warmHits.Inc()
-		} else {
-			misses++
-			t.warmMisses.Inc()
-		}
-	}
-	return hits, misses
-}
-
 // Push PUTs a locally-held envelope to a peer — the proactive half of the
-// protocol, used to seed a joining worker or repair a peer that lost an
-// entry. The receiving side re-verifies before persisting.
+// protocol, used to seed a peer or repair one that lost an entry. The
+// receiving side re-verifies before persisting.
 func (t *PeerTier) Push(peer, hash string) error {
 	data, ok := t.local.LoadRaw(hash)
 	if !ok {

@@ -265,71 +265,10 @@ func TestPeerTierPushRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeerTierWarm: the joining-worker half of the warm re-shard
-// protocol — Warm pre-fetches the given hashes from the given peers into
-// the local disk (verify-on-read), counts already-local entries as hits
-// without network traffic, and counts hashes no peer holds as misses.
-func TestPeerTierWarm(t *testing.T) {
-	const heldHash = testHash
-	const missingHash = "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"
-	const localHash = "cccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc"
-
-	remote := openDisk(t)
-	remote.Store(heldHash, testResult())
-	envelope, ok := remote.LoadRaw(heldHash)
-	if !ok {
-		t.Fatal("remote cache lost its own entry")
-	}
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cache/"+heldHash {
-			w.Write(envelope)
-			return
-		}
-		http.Error(w, "no entry", http.StatusNotFound)
-	}))
-	t.Cleanup(peer.Close)
-
-	local := openDisk(t)
-	local.Store(localHash, testResult())
-	tier := NewPeerTier(local, nil, time.Second)
-
-	hits, misses := tier.Warm([]string{peer.URL}, []string{heldHash, missingHash, localHash})
-	if hits != 2 || misses != 1 {
-		t.Fatalf("Warm = (%d hits, %d misses), want (2, 1)", hits, misses)
-	}
-	snap := tier.Metrics()
-	if got := counterValue(t, snap, "fleet/peercache/warm_prefetch_hits"); got != 2 {
-		t.Errorf("warm_prefetch_hits = %d, want 2", got)
-	}
-	if got := counterValue(t, snap, "fleet/peercache/warm_prefetch_misses"); got != 1 {
-		t.Errorf("warm_prefetch_misses = %d, want 1", got)
-	}
-	// The fetched entry was adopted: a Load is now a local hit.
-	tier.SetPeers(nil)
-	if _, ok := tier.Load(heldHash); !ok {
-		t.Errorf("warmed entry not adopted into the local disk")
-	}
-
-	// A corrupt peer envelope is rejected by verify-on-read and counts as
-	// a miss, never adopted.
-	bad := append([]byte(nil), envelope...)
-	bad[len(bad)/2] ^= 0xff
-	const corruptHash = "dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd"
-	badPeer := peerStub(t, http.StatusOK, bad)
-	fresh := NewPeerTier(openDisk(t), nil, time.Second)
-	hits, misses = fresh.Warm([]string{badPeer.URL}, []string{corruptHash})
-	if hits != 0 || misses != 1 {
-		t.Errorf("Warm over corrupt peer = (%d, %d), want (0, 1)", hits, misses)
-	}
-	if got := counterValue(t, fresh.Metrics(), "fleet/peercache/rejects"); got == 0 {
-		t.Errorf("rejects = 0, want > 0 (corrupt envelope must be counted)")
-	}
-}
-
-// TestPeerTierConcurrentSetPeers races live peer-list updates (the gossip
-// OnView feed) against lookups and warms. The copy-on-write snapshot means
-// readers see some complete peer list — never a torn one — and the race
-// detector adjudicates. Run with -race.
+// TestPeerTierConcurrentSetPeers races live peer-list updates against
+// lookups. The copy-on-write snapshot means readers see some complete peer
+// list — never a torn one — and the race detector adjudicates. Run with
+// -race.
 func TestPeerTierConcurrentSetPeers(t *testing.T) {
 	remote := openDisk(t)
 	remote.Store(testHash, testResult())

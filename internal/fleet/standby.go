@@ -83,7 +83,7 @@ func NewStandby(opts StandbyOptions) (*Standby, error) {
 	s := &Standby{
 		opts:     opts,
 		log:      opts.Log,
-		clnt:     NewClient(0, opts.Coordinator.Chaos),
+		clnt:     NewClient(opts.Coordinator.Chaos),
 		lastDone: -1,
 	}
 	s.mem = newMembership(opts.SuspectMisses, opts.DeadMisses, opts.Interval, opts.Coordinator.ChaosSeed, nil)

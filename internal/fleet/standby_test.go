@@ -186,7 +186,6 @@ func TestCoordinatorStepDown(t *testing.T) {
 		CheckpointDir:     dir,
 		HeartbeatInterval: 25 * time.Millisecond,
 	})
-	t.Cleanup(co.Close)
 	if co.Epoch() != 1 {
 		t.Fatalf("default epoch = %d, want 1", co.Epoch())
 	}

@@ -17,8 +17,7 @@ import (
 //
 //	/sweep            → fleet/dispatch
 //	/healthz, /readyz → fleet/heartbeat
-//	/cache/...        → fleet/cachefetch (peer transfers and warm prefetch)
-//	/fleet/gossip     → fleet/gossip (anti-entropy membership exchanges)
+//	/cache/...        → fleet/cachefetch (peer transfers)
 //
 // The fault key is the target's host:port (so match= scopes a rule to one
 // worker) and the attempt number counts that (site, host) pair's requests —
@@ -55,8 +54,6 @@ func siteForPath(path string) faultinject.Site {
 		return faultinject.SiteFleetCacheFetch
 	case path == "/healthz" || path == "/readyz":
 		return faultinject.SiteFleetHeartbeat
-	case path == "/fleet/gossip":
-		return faultinject.SiteFleetGossip
 	default:
 		return faultinject.SiteFleetDispatch
 	}

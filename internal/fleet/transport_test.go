@@ -14,12 +14,9 @@ import (
 func TestSiteForPath(t *testing.T) {
 	cases := map[string]faultinject.Site{
 		"/sweep":        faultinject.SiteFleetDispatch,
-		"/fleet/join":   faultinject.SiteFleetDispatch,
 		"/healthz":      faultinject.SiteFleetHeartbeat,
 		"/readyz":       faultinject.SiteFleetHeartbeat,
 		"/cache/abc123": faultinject.SiteFleetCacheFetch,
-		"/cache/warm":   faultinject.SiteFleetCacheFetch,
-		"/fleet/gossip": faultinject.SiteFleetGossip,
 	}
 	for path, want := range cases {
 		if got := siteForPath(path); got != want {

@@ -76,18 +76,6 @@ type Options struct {
 	Log *log.Logger
 	// Execute overrides cell execution (tests). Nil runs real simulations.
 	Execute func(ctx context.Context, j runner.Job) system.Result
-	// Gossip, when non-nil, serves POST /fleet/gossip: the worker's half of
-	// the fleet's anti-entropy membership exchange (fleet.Gossiper
-	// implements it). Nil answers 501, like the other optional
-	// capabilities.
-	Gossip GossipExchanger
-}
-
-// GossipExchanger is the membership capability behind POST /fleet/gossip:
-// merge the sender's versioned fleet view and answer with our own, SWIM
-// push-pull style.
-type GossipExchanger interface {
-	Exchange(req sweepapi.GossipRequest) sweepapi.GossipResponse
 }
 
 // Server is the sweep service. Create with New, mount Handler on an
@@ -133,8 +121,6 @@ type Server struct {
 	peerGetMisses  *metrics.Counter
 	peerPuts       *metrics.Counter
 	peerPutRejects *metrics.Counter
-	warmHits       *metrics.Counter
-	warmMisses     *metrics.Counter
 }
 
 // New builds a Server, opening the disk cache when CacheDir is set.
@@ -174,8 +160,6 @@ func New(opts Options) (*Server, error) {
 	s.peerGetMisses = sc.Counter("peer_cache_get_misses")
 	s.peerPuts = sc.Counter("peer_cache_puts")
 	s.peerPutRejects = sc.Counter("peer_cache_put_rejects")
-	s.warmHits = sc.Counter("peer_warm_prefetch_hits")
-	s.warmMisses = sc.Counter("peer_warm_prefetch_misses")
 	sc.GaugeFunc("inflight", func() float64 { return float64(len(s.slots)) })
 	sc.GaugeFunc("queued", func() float64 {
 		if q := s.pending.Load() - int64(len(s.slots)); q > 0 {
@@ -207,34 +191,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/sweep", s.handleSweep)
-	mux.HandleFunc("/cache/warm", s.handleWarm)
 	mux.HandleFunc("/cache/", s.handleCache)
-	mux.HandleFunc("/fleet/gossip", s.handleGossip)
 	return s.protect(mux)
-}
-
-// handleGossip serves the worker's side of the fleet's anti-entropy
-// membership exchange. A worker without a gossiper answers 501 — same
-// convention as the warm endpoint on a peerless cache.
-func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.opts.Gossip == nil {
-		writeError(w, http.StatusNotImplemented, "no gossiper configured")
-		return
-	}
-	var req sweepapi.GossipRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad gossip body: "+err.Error())
-		return
-	}
-	resp := s.opts.Gossip.Exchange(req)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.opts.Log.Printf("gossip response: %v", err)
-	}
 }
 
 // protect is the panic-recovery middleware: a panicking handler answers 500
@@ -339,48 +297,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Warmer is the cache capability behind POST /cache/warm: pre-fetch the
-// given cell hashes from the given peers into local storage and report
-// (hits, misses). fleet.PeerTier implements it; a worker running on a
-// plain disk cache does not, and answers 501.
-type Warmer interface {
-	Warm(peers, hashes []string) (hits, misses int)
-}
-
-// handleWarm is the joining-worker half of the fleet's warm re-shard
-// protocol: the coordinator POSTs the cache hashes the ring just moved
-// here plus the peers that may hold them, and the worker pulls each
-// missing entry (verify-on-read) before those cells are dispatched.
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	warmer, ok := s.opts.Cache.(Warmer)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "no peer cache tier configured")
-		return
-	}
-	var req sweepapi.WarmRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad warm body: "+err.Error())
-		return
-	}
-	for _, h := range req.Hashes {
-		if !runner.ValidHash(h) {
-			writeError(w, http.StatusBadRequest, "malformed cell hash "+h)
-			return
-		}
-	}
-	hits, misses := warmer.Warm(req.Peers, req.Hashes)
-	s.warmHits.Add(uint64(hits))
-	s.warmMisses.Add(uint64(misses))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(sweepapi.WarmResponse{Hits: hits, Misses: misses}); err != nil {
-		s.opts.Log.Printf("warm: %v", err)
-	}
-}
-
 // handleMetrics emits the service metrics as one deterministic JSON
 // snapshot: the server registry (counters plus pull-style inflight/queued
 // gauges) merged with the local disk cache's counters and, when the
@@ -423,8 +339,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req SweepRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	req, err := sweepapi.DecodeRequest(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -116,6 +116,10 @@ func TestSweepValidation(t *testing.T) {
 		{`{"org":"cameo","benchmarks":["milc"],"values":[1]}`, "no sweep dimension"},
 		{`{"org":"cameo","benchmarks":["milc","gcc"],"sweep":"seed","values":[1,2]}`, "exceeds the per-request cap"},
 		{`not json`, "bad request body"},
+		// A misspelled field is refused, not ignored: "sede" would
+		// otherwise run the default seed. So is the retired "shards".
+		{`{"org":"cameo","benchmarks":["milc"],"sede":7}`, `unknown field \"sede\"`},
+		{`{"org":"cameo","benchmarks":["milc"],"shards":4}`, `unknown field \"shards\"`},
 	} {
 		resp, b := postSweep(t, ts.URL, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -585,177 +589,5 @@ func TestCachePeerEndpoints(t *testing.T) {
 	}
 	if counter(t, s2, "server/peer_cache_put_rejects") != 1 {
 		t.Fatalf("peer_cache_put_rejects = %d, want 1", counter(t, s2, "server/peer_cache_put_rejects"))
-	}
-}
-
-// warmRecorder is a runner.Cache that implements the Warmer capability
-// and records what /cache/warm asked it to prefetch.
-type warmRecorder struct {
-	mu     sync.Mutex
-	peers  []string
-	hashes []string
-}
-
-func (w *warmRecorder) Load(string) (system.Result, bool) { return system.Result{}, false }
-func (w *warmRecorder) Store(string, system.Result)       {}
-func (w *warmRecorder) Warm(peers, hashes []string) (int, int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.peers = append([]string(nil), peers...)
-	w.hashes = append([]string(nil), hashes...)
-	return len(hashes) - 1, 1 // pretend the last hash was nowhere to be found
-}
-
-// TestCacheWarmEndpoint: POST /cache/warm forwards the order to the
-// cache tier's Warm, answers the hit/miss split as JSON, and counts both
-// in the server's peer_warm_prefetch metrics.
-func TestCacheWarmEndpoint(t *testing.T) {
-	rec := &warmRecorder{}
-	s, ts := newTestServer(t, Options{Cache: rec})
-
-	const h1 = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
-	const h2 = "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"
-	body := fmt.Sprintf(`{"hashes":["%s","%s"],"peers":["http://peer:1"]}`, h1, h2)
-	resp, err := http.Post(ts.URL+"/cache/warm", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wr sweepapi.WarmResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || wr.Hits != 1 || wr.Misses != 1 {
-		t.Fatalf("warm = %d %+v, want 200 with 1 hit / 1 miss", resp.StatusCode, wr)
-	}
-	rec.mu.Lock()
-	if len(rec.hashes) != 2 || rec.hashes[0] != h1 || len(rec.peers) != 1 {
-		t.Errorf("Warm received (%v, %v), want the posted order", rec.peers, rec.hashes)
-	}
-	rec.mu.Unlock()
-	snap := s.Metrics()
-	if got, _ := snap.Get("server/peer_warm_prefetch_hits"); got.Value != 1 {
-		t.Errorf("peer_warm_prefetch_hits = %d, want 1", got.Value)
-	}
-	if got, _ := snap.Get("server/peer_warm_prefetch_misses"); got.Value != 1 {
-		t.Errorf("peer_warm_prefetch_misses = %d, want 1", got.Value)
-	}
-
-	// Malformed hashes are rejected before reaching the tier.
-	resp2, err := http.Post(ts.URL+"/cache/warm", "application/json",
-		strings.NewReader(`{"hashes":["../../etc/passwd"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed hash = %d, want 400", resp2.StatusCode)
-	}
-
-	// GET is not part of the protocol.
-	resp3, err := http.Get(ts.URL + "/cache/warm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp3.Body)
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /cache/warm = %d, want 405", resp3.StatusCode)
-	}
-}
-
-// TestCacheWarmWithoutTier: a worker running on a plain disk cache (no
-// peer tier) answers 501 — warm is an optional capability, not an error.
-func TestCacheWarmWithoutTier(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	resp, err := http.Post(ts.URL+"/cache/warm", "application/json",
-		strings.NewReader(`{"hashes":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("warm without a tier = %d, want 501", resp.StatusCode)
-	}
-}
-
-// stubExchanger implements the GossipExchanger hook: it records the request
-// and answers a canned view.
-type stubExchanger struct {
-	mu   sync.Mutex
-	last sweepapi.GossipRequest
-}
-
-func (g *stubExchanger) Exchange(req sweepapi.GossipRequest) sweepapi.GossipResponse {
-	g.mu.Lock()
-	g.last = req
-	g.mu.Unlock()
-	return sweepapi.GossipResponse{View: []sweepapi.PeerInfo{
-		{URL: "http://answered", State: "alive", Incarnation: 4},
-	}}
-}
-
-// TestGossipEndpoint: POST /fleet/gossip routes the body to the configured
-// exchanger and returns its merged view.
-func TestGossipEndpoint(t *testing.T) {
-	g := &stubExchanger{}
-	_, ts := newTestServer(t, Options{Gossip: g})
-
-	body := `{"from":"http://sender","view":[{"url":"http://rumor","state":"suspect","incarnation":2}]}`
-	resp, err := http.Post(ts.URL+"/fleet/gossip", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("gossip = %d, want 200", resp.StatusCode)
-	}
-	var out sweepapi.GossipResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.View) != 1 || out.View[0].URL != "http://answered" || out.View[0].Incarnation != 4 {
-		t.Fatalf("gossip answer = %+v, want the exchanger's view", out)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.last.From != "http://sender" || len(g.last.View) != 1 || g.last.View[0].State != "suspect" {
-		t.Fatalf("exchanger saw %+v, want the posted request", g.last)
-	}
-}
-
-// TestGossipEndpointWithoutGossiper: no gossiper configured answers 501 —
-// the same optional-capability convention as /cache/warm without a tier —
-// and malformed bodies or wrong methods are rejected before the exchanger.
-func TestGossipEndpointWithoutGossiper(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	resp, err := http.Post(ts.URL+"/fleet/gossip", "application/json", strings.NewReader(`{"from":"x","view":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("gossip without a gossiper = %d, want 501", resp.StatusCode)
-	}
-
-	_, ts2 := newTestServer(t, Options{Gossip: &stubExchanger{}})
-	gresp, err := http.Get(ts2.URL + "/fleet/gossip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /fleet/gossip = %d, want 405", gresp.StatusCode)
-	}
-	bresp, err := http.Post(ts2.URL+"/fleet/gossip", "application/json", strings.NewReader(`{not json`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bresp.Body.Close()
-	if bresp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed gossip body = %d, want 400", bresp.StatusCode)
 	}
 }

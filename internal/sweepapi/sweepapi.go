@@ -10,8 +10,10 @@
 package sweepapi
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"cameo/internal/runner"
@@ -36,6 +38,23 @@ type Request struct {
 	// TimeoutMS bounds the whole request; on expiry the sweep is cancelled
 	// mid-flight (not abandoned) and the request answers 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// maxRequestBytes bounds a POST /sweep body.
+const maxRequestBytes = 1 << 20
+
+// DecodeRequest reads a POST /sweep body: one JSON object of at most 1 MiB
+// that names only Request's fields, so a misspelled or retired field (say
+// "sede" for "seed") is an error instead of a silently defaulted value.
+// Worker and coordinator both decode with it.
+func DecodeRequest(r io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, err
+	}
+	return req, nil
 }
 
 // Cell is one grid cell of the response, in request order.
@@ -79,69 +98,6 @@ func (rs ReadyState) FreeSlots() int {
 		return free
 	}
 	return 0
-}
-
-// JoinRequest is the POST /fleet/join body a worker sends a coordinator to
-// register (or re-register) at runtime. Worker is the worker's own base
-// URL as reachable by the coordinator and its peers.
-type JoinRequest struct {
-	Worker string `json:"worker"`
-}
-
-// JoinResponse acknowledges a join. Status is "joined" for a first
-// registration, "rejoined" for a previously-dead worker re-admitted, and
-// "already-member" for an idempotent re-announcement.
-type JoinResponse struct {
-	Status string `json:"status"`
-}
-
-// PeerInfo is one member's entry in a gossiped fleet view: the member's
-// advertised base URL, its observed state ("alive", "suspect", or "dead"),
-// and its incarnation number. Incarnations implement SWIM-style refutation:
-// only the member itself ever bumps its own incarnation, so an `alive`
-// entry at incarnation i+1 supersedes a `dead` rumor at incarnation i —
-// the one mechanism that lets a falsely-accused worker overrule the fleet.
-type PeerInfo struct {
-	URL         string `json:"url"`
-	State       string `json:"state"`
-	Incarnation uint64 `json:"incarnation"`
-}
-
-// GossipRequest is the POST /fleet/gossip body: the sender's full versioned
-// view, push-pull style. From is the sender's own advertise URL so the
-// receiver can adopt a previously-unknown sender into its view; Observer
-// marks a sender (a coordinator or standby) that monitors the fleet but is
-// not itself a cache peer — receivers merge its view without adopting it.
-type GossipRequest struct {
-	From     string     `json:"from"`
-	Observer bool       `json:"observer,omitempty"`
-	View     []PeerInfo `json:"view"`
-}
-
-// GossipResponse completes the push-pull exchange: the receiver's merged
-// view, which the sender merges in turn. Two exchanges therefore leave both
-// sides with the union of what either knew.
-type GossipResponse struct {
-	View []PeerInfo `json:"view"`
-}
-
-// WarmRequest is the POST /cache/warm body the coordinator pushes to a
-// joining worker: the cache hashes of the cells the ring just moved to it,
-// plus the peer base URLs that may already hold those entries. The worker
-// pre-fetches each missing hash from the peers (GET /cache/<hash>,
-// verify-on-read) before any of those cells is dispatched, so a re-joined
-// worker recomputes nothing the fleet already computed.
-type WarmRequest struct {
-	Hashes []string `json:"hashes"`
-	Peers  []string `json:"peers,omitempty"`
-}
-
-// WarmResponse reports the prefetch outcome: Hits entries now local (held
-// already or fetched and verified), Misses nowhere to be found (those
-// cells will compute on dispatch — correct, just colder).
-type WarmResponse struct {
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
 }
 
 // CellSpec identifies one request-order grid cell by its swept coordinates

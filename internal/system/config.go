@@ -149,6 +149,12 @@ type Config struct {
 	HybridWays int
 }
 
+// MaxCores bounds Config.Cores at 32 times the paper's 32-core machine. A
+// machine builds a stream, a CPU model and a page table per core before its
+// first event, so a core count taken from a request must not size an
+// unbounded allocation.
+const MaxCores = 1024
+
 // WithDefaults fills zero fields with the paper-equivalent defaults.
 func (c Config) WithDefaults() Config {
 	if c.ScaleDiv == 0 {
@@ -186,6 +192,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: ScaleDiv %d leaves no memory to simulate", c.ScaleDiv)
 	case c.Cores <= 0:
 		return fmt.Errorf("system: non-positive core count")
+	case c.Cores > MaxCores:
+		return fmt.Errorf("system: %d cores exceeds the limit of %d", c.Cores, MaxCores)
 	case c.InstrPerCore == 0:
 		return fmt.Errorf("system: zero instruction budget")
 	case c.StackedDivisor < 2 || c.StackedDivisor > 4:

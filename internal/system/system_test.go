@@ -37,6 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		{ScaleDiv: 1 << 20, Cores: 1, InstrPerCore: 1},
 		{ScaleDiv: 256, Cores: 0, InstrPerCore: 1},
 		{ScaleDiv: 256, Cores: 1, InstrPerCore: 0},
+		// Defaulted so that only the core count is wrong.
+		Config{Cores: MaxCores + 1}.WithDefaults(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
