@@ -11,7 +11,9 @@
 //	               Retry-After), 503 draining, 504 request deadline hit.
 //	GET  /healthz  liveness: 200 while the process serves, even during drain.
 //	GET  /readyz   admission readiness: a JSON body with in-flight slots,
-//	               queue depth and drain state; 503 once draining begins.
+//	               queue depth, drain state and keeps_results (true when
+//	               -cachedir turns the reply memo on); 503 once draining
+//	               begins.
 //	GET  /metrics  server counters/gauges as deterministic JSON.
 //	GET/PUT /cache/<hash>  the fleet cache-peer protocol: checksummed
 //	               cameo-cache-entry-v1 envelopes, verified on both ends
@@ -24,8 +26,10 @@
 // Fleet mode: with -peers, a worker consults the listed peer caches before
 // recomputing a cell. With -coordinator -workers=..., cameod serves the
 // same /sweep contract but shards cells across the workers by consistent
-// hashing, work-steals stragglers, and re-shards the cells of lost workers
-// — see internal/fleet. The -workers roster is the whole fleet. The
+// hashing, sends a cell a worker with keeps_results already answered back
+// to that worker, work-steals stragglers (never a cell an active worker
+// answered before), and re-shards the cells of lost workers — see
+// internal/fleet. The -workers roster is the whole fleet. The
 // coordinator probes every worker each -heartbeat (default 1s) and runs
 // the suspicion-based failure detector (alive→suspect→dead, tuned by
 // -suspect-misses/-dead-misses); a dead worker whose probes answer again

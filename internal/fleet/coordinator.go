@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cameo/internal/boundedmap"
 	"cameo/internal/faultinject"
 	"cameo/internal/metrics"
 	"cameo/internal/runner"
@@ -81,20 +82,26 @@ type CoordinatorOptions struct {
 // against the same worker before the worker is health-probed.
 const dispatchRetries = 2
 
-// Coordinator shards sweeps across a fleet of cameod workers: consistent-
-// hash placement, bounded per-worker dispatch, work-stealing off the
-// longest queue when a worker goes idle, and self-healing membership — a
-// suspicion-based failure detector (alive → suspect → dead; only dead
-// re-shards) whose probes also re-admit a roster worker that answers
-// again. Safe for concurrent sweeps; membership transitions observed by
-// one sweep apply to every active and future sweep.
+// Coordinator shards sweeps across a fleet of cameod workers: answer-
+// affinity and consistent-hash placement, bounded per-worker dispatch,
+// work-stealing off the longest queue when a worker goes idle, and
+// self-healing membership — a suspicion-based failure detector (alive →
+// suspect → dead; only dead re-shards) whose probes also re-admit a roster
+// worker that answers again. A cell some worker that keeps results
+// (/readyz keeps_results) has already answered goes back to that worker,
+// and no idle worker steals it while that worker is active and lets no
+// dispatch lease lapse, so a fault-free sweep simulates each needed cell
+// once; every other cell goes to its ring owner. Safe for concurrent
+// sweeps; membership transitions observed by one sweep apply to every
+// active and future sweep.
 type Coordinator struct {
-	opts   CoordinatorOptions
-	client *Client
-	log    *log.Logger
-	mem    *membership
-	leases *leaseTable
-	epoch  uint64
+	opts    CoordinatorOptions
+	client  *Client
+	log     *log.Logger
+	mem     *membership
+	leases  *leaseTable
+	answers *boundedmap.Map[string, string] // cell hash → worker that answered it
+	epoch   uint64
 
 	// stepped latches once this coordinator discovers a higher epoch on
 	// disk: a standby took over, so this instance must stop driving the
@@ -166,12 +173,13 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		opts.Epoch = 1
 	}
 	c := &Coordinator{
-		opts:   opts,
-		client: NewClient(opts.Chaos),
-		log:    opts.Log,
-		epoch:  opts.Epoch,
-		runs:   map[*sweepRun]struct{}{},
-		reg:    metrics.NewRegistry(),
+		opts:    opts,
+		client:  NewClient(opts.Chaos),
+		log:     opts.Log,
+		epoch:   opts.Epoch,
+		runs:    map[*sweepRun]struct{}{},
+		reg:     metrics.NewRegistry(),
+		answers: boundedmap.New[string, string](answerRecordBound),
 	}
 	sc := c.reg.Scope("fleet")
 	c.sweeps = sc.Counter("sweeps_completed")
@@ -348,11 +356,13 @@ func (c *Coordinator) applyProbe(ctx context.Context, worker string, ok bool) {
 	switch c.mem.probeResult(worker, ok) {
 	case transSuspected:
 		c.log.Printf("fleet: worker %s suspect (heartbeat missed); pausing dispatch, keeping its cells", worker)
+		c.forgetAnswers(worker)
 		for _, r := range c.snapshotRuns() {
 			r.pauseWorker(worker)
 		}
 	case transDied:
 		c.deaths.Inc()
+		c.forgetAnswers(worker)
 		c.log.Printf("fleet: worker %s dead (suspicion window elapsed), re-sharding its cells", worker)
 		for _, r := range c.snapshotRuns() {
 			r.removeWorker(worker)
@@ -363,8 +373,19 @@ func (c *Coordinator) applyProbe(ctx context.Context, worker string, ok bool) {
 		c.admitToRuns(ctx, worker)
 	case transRevived:
 		c.log.Printf("fleet: worker %s returned from the dead (false death); re-admitting as a fresh member", worker)
+		c.forgetAnswers(worker)
 		c.admitToRuns(ctx, worker)
 	}
+}
+
+// forgetAnswers drops a worker's entries from the answer record. A worker
+// that turns suspect, dies or comes back from the dead may have restarted
+// at the same URL without the results it answered (another or an empty
+// -cachedir), so future sweeps place its cells by the ring again. A worker
+// restarted between two heartbeats keeps its entries: it simulates those
+// cells once more, with none of its peers allowed to steal them.
+func (c *Coordinator) forgetAnswers(worker string) {
+	c.answers.DeleteFunc(func(_, w string) bool { return w == worker })
 }
 
 // declareDead kills a worker immediately (a deliberate departure: the
@@ -374,6 +395,7 @@ func (c *Coordinator) declareDead(worker string) {
 		return
 	}
 	c.deaths.Inc()
+	c.forgetAnswers(worker)
 	for _, r := range c.snapshotRuns() {
 		r.removeWorker(worker)
 		r.checkpointFleet()
@@ -388,6 +410,7 @@ func (c *Coordinator) suspectWorker(worker string) {
 		return
 	}
 	c.log.Printf("fleet: worker %s suspect (dispatch failed and health probe missed); pausing dispatch, keeping its cells", worker)
+	c.forgetAnswers(worker)
 	for _, r := range c.snapshotRuns() {
 		r.pauseWorker(worker)
 	}
@@ -396,21 +419,22 @@ func (c *Coordinator) suspectWorker(worker string) {
 // workerSlots probes a worker's /readyz for its advertised dispatch
 // concurrency (admission-aware placement): the coordinator fills exactly
 // the slots a worker advertises, so its admission queue never sheds fleet
-// traffic.
-func (c *Coordinator) workerSlots(ctx context.Context, worker string) (int, bool) {
+// traffic. keeps reports whether the worker answers repeats from its reply
+// memo, which is what answer affinity needs.
+func (c *Coordinator) workerSlots(ctx context.Context, worker string) (slots int, keeps, ready bool) {
 	st, err := c.client.Ready(ctx, worker)
 	if err != nil || !st.Ready {
-		return 0, false
+		return 0, false, false
 	}
-	return max(st.MaxInflight, 1), true
+	return max(st.MaxInflight, 1), st.KeepsResults, true
 }
 
 // admitToRuns returns a recovered or revived worker to every active sweep:
 // a paused suspect resumes with the cells it kept, and a worker new to a
-// sweep takes exactly the queued cells whose arcs its virtual nodes now
-// own (the remap bound — no other worker's cells move).
+// sweep takes exactly the queued unrecorded cells whose arcs its virtual
+// nodes now own (the remap bound — no other worker's cells move).
 func (c *Coordinator) admitToRuns(ctx context.Context, worker string) {
-	slots, ready := c.workerSlots(ctx, worker)
+	slots, _, ready := c.workerSlots(ctx, worker)
 	if !ready {
 		// Alive but not admitting sweeps yet: it stays in the ring for
 		// future sweeps; the active ones proceed without it.
@@ -440,7 +464,19 @@ type fleetCell struct {
 	spec sweepapi.CellSpec
 	key  string
 	hash string
+	// home is the worker that answered this cell before, when that worker
+	// is in the sweep and keeps results; empty otherwise. Set by Run,
+	// cleared (under the sweep mutex) when the cell is re-queued or
+	// re-sharded, or its home lets a lease lapse.
+	home string
 }
+
+// answerRecordBound caps the coordinator's answer record (cell hash →
+// the worker that last answered it with a result): 4096 entries of a
+// 64-byte hash and a shared worker URL come to about half a MiB. Like the
+// workers' reply memos the record is dropped whole when full: a dropped
+// entry only sends its cell to its ring owner again.
+const answerRecordBound = 4096
 
 // runStatus is a worker's dispatchability within one sweep.
 type runStatus int
@@ -553,23 +589,36 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	}
 	s.ring = NewRing(c.opts.VNodes)
 	slots := map[string]int{}
+	keeps := map[string]bool{}
 	for _, w := range members {
-		n, ready := c.workerSlots(ctx, w)
+		n, k, ready := c.workerSlots(ctx, w)
 		if !ready {
 			c.log.Printf("fleet: worker %s not ready at sweep start, suspecting (the detector may re-admit it)", w)
 			c.suspectWorker(w)
 			continue
 		}
-		slots[w] = n
+		slots[w], keeps[w] = n, k
 		s.workers[w] = &runWorker{status: runActive}
 		s.ring.Add(w)
 	}
 	if s.ring.Len() == 0 {
 		return nil, errors.New("fleet: no live workers")
 	}
+	// Answer affinity: a cell answered before by a worker that is in this
+	// sweep and keeps results goes back to it, ahead of its unrecorded
+	// cells — it answers from memory what any other worker would simulate
+	// again. Every other cell goes to its ring owner.
 	for _, fc := range order {
-		owner := s.ring.Owner(fc.key)
-		s.queues[owner] = append(s.queues[owner], fc)
+		if w, _ := c.answers.Get(fc.hash); keeps[w] {
+			fc.home = w
+			s.queues[w] = append(s.queues[w], fc)
+		}
+	}
+	for _, fc := range order {
+		if fc.home == "" {
+			owner := s.ring.Owner(fc.key)
+			s.queues[owner] = append(s.queues[owner], fc)
+		}
 	}
 
 	// Resuming over a crashed coordinator's manifest: adopt its outstanding
@@ -697,10 +746,11 @@ func (s *sweepRun) spawnLoopsLocked(worker string, n int) {
 
 // addWorker makes a recovered or revived worker dispatchable in this
 // sweep. A paused suspect resumes: it kept its arcs and its queue. A worker
-// new to the sweep becomes a ring member, exactly the queued cells whose
-// arcs it now owns move to its queue (no other queue changes — the
-// consistent-hashing remap bound), and its dispatch loops spawn. No-op once
-// the sweep has resolved.
+// new to the sweep becomes a ring member, exactly the queued unrecorded
+// cells whose arcs it now owns move to its queue (no other queue changes —
+// the consistent-hashing remap bound; a recorded cell stays with the worker
+// that answered it), and its dispatch loops spawn. No-op once the sweep has
+// resolved.
 func (s *sweepRun) addWorker(worker string, slots int) {
 	s.mu.Lock()
 	defer func() {
@@ -723,7 +773,7 @@ func (s *sweepRun) addWorker(worker string, slots int) {
 		}
 		kept := q[:0]
 		for _, fc := range q {
-			if s.ring.Owner(fc.key) == worker {
+			if fc.home == "" && s.ring.Owner(fc.key) == worker {
 				moved = append(moved, fc)
 			} else {
 				kept = append(kept, fc)
@@ -747,7 +797,8 @@ func (s *sweepRun) pauseWorker(worker string) {
 }
 
 // removeWorker re-shards a dead worker's backlog across the survivors via
-// the ring — only its cells move, everyone else's stay put. Idempotent.
+// the ring — only its cells move, everyone else's stay put — and the moved
+// cells lose their home: no survivor answered them. Idempotent.
 func (s *sweepRun) removeWorker(worker string) {
 	s.mu.Lock()
 	rw, ok := s.workers[worker]
@@ -767,6 +818,7 @@ func (s *sweepRun) removeWorker(worker string) {
 		return
 	}
 	for _, fc := range orphans {
+		fc.home = ""
 		owner := s.ring.Owner(fc.key)
 		s.queues[owner] = append(s.queues[owner], fc)
 		s.co.resharded.Inc()
@@ -804,8 +856,9 @@ func (s *sweepRun) dispatchLoop(worker string) {
 // when its own is empty — the tail of a straggling (or suspect) worker's
 // backlog is exactly the work that would otherwise gate sweep completion.
 // Parks while this worker is paused under suspicion, and blocks while
-// cells are in flight elsewhere (they may yet be requeued); returns nil
-// when the sweep is resolved, fatal, or this worker is gone.
+// cells are in flight elsewhere (they may yet be requeued) or only cells
+// their active homes will answer remain; returns nil when the sweep is
+// resolved, fatal, or this worker is gone.
 func (s *sweepRun) next(worker string) (*fleetCell, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -824,31 +877,49 @@ func (s *sweepRun) next(worker string) (*fleetCell, bool) {
 			s.queues[worker] = q[1:]
 			return fc, false
 		}
-		// Steal from the deepest queue (ties break by name for
-		// determinism of victim choice, though placement never affects
-		// results — simulation is deterministic per cell). Paused
-		// suspects are valid victims: their backlog is exactly what
-		// suspicion would otherwise stall on.
-		victim := ""
-		depth := 0
-		for w, q := range s.queues {
-			if w == worker || len(q) == 0 {
-				continue
-			}
-			if vw, ok := s.workers[w]; !ok || vw.status == runGone {
-				continue
-			}
-			if len(q) > depth || (len(q) == depth && w < victim) {
-				victim, depth = w, len(q)
-			}
-		}
-		if victim != "" {
-			q := s.queues[victim]
-			fc := q[len(q)-1]
-			s.queues[victim] = q[:len(q)-1]
+		if fc := s.stealLocked(worker); fc != nil {
 			return fc, true
 		}
 		s.cond.Wait()
+	}
+}
+
+// stealLocked takes the last stealable cell of the queue with the most
+// stealable cells, or returns nil when no queue has one. A cell is not
+// stealable from an active victim that answered it before (its home): the
+// victim answers it from memory, where the thief would simulate it again.
+// A paused suspect's whole queue is stealable: its backlog is exactly what
+// suspicion would otherwise stall on. Ties break by name for determinism
+// of victim choice, though placement never affects results — simulation
+// is deterministic per cell. Callers hold s.mu.
+func (s *sweepRun) stealLocked(thief string) *fleetCell {
+	stealable := func(victim string, fc *fleetCell) bool {
+		return fc.home != victim || s.workers[victim].status == runPaused
+	}
+	victim, depth := "", 0
+	for w, q := range s.queues {
+		if vw, ok := s.workers[w]; w == thief || !ok || vw.status == runGone {
+			continue
+		}
+		n := 0
+		for _, fc := range q {
+			if stealable(w, fc) {
+				n++
+			}
+		}
+		if n > 0 && (n > depth || (n == depth && w < victim)) {
+			victim, depth = w, n
+		}
+	}
+	if victim == "" {
+		return nil
+	}
+	q := s.queues[victim]
+	for i := len(q) - 1; ; i-- {
+		if fc := q[i]; stealable(victim, fc) {
+			s.queues[victim] = append(q[:i], q[i+1:]...)
+			return fc
+		}
 	}
 }
 
@@ -881,7 +952,7 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 		}
 		resp, err := s.co.client.RunCell(s.ctx, worker, req)
 		if err == nil {
-			s.resolve(fc, resp)
+			s.resolve(worker, fc, resp)
 			return
 		}
 		if s.ended() {
@@ -985,8 +1056,9 @@ func (s *sweepRun) ended() bool {
 // resolve records a worker's answer for one cell. Duplicate answers for
 // the same canonical cell key (a revived worker's stale dispatch racing
 // the re-assigned one) are dropped here — the dedupe that guarantees no
-// cell resolves twice whatever the membership churn.
-func (s *sweepRun) resolve(fc *fleetCell, resp *sweepapi.Response) {
+// cell resolves twice whatever the membership churn. A result goes into
+// the coordinator's answer record.
+func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response) {
 	if len(resp.Failures) > 0 {
 		// The worker ran the cell and quarantined it (keep-going): adopt
 		// its failure record verbatim — same taxonomy, same bytes as a
@@ -1011,6 +1083,7 @@ func (s *sweepRun) resolve(fc *fleetCell, resp *sweepapi.Response) {
 		s.pending--
 	}
 	s.mu.Unlock()
+	s.co.answers.Put(fc.hash, worker)
 	s.co.leases.release(fc.hash)
 	s.cp.MarkDone(fc.hash)
 	s.cond.Broadcast()
@@ -1031,8 +1104,12 @@ func (s *sweepRun) recordFailure(fc *fleetCell, cf runner.CellFailure) {
 
 // requeueExpired puts the cells of lapsed leases back onto their ring
 // owners' queues — unless they already resolved, already wait in a queue,
-// or the sweep is over. Returns how many cells it re-queued.
-func (s *sweepRun) requeueExpired(hashes []string) int {
+// or the sweep is over — and ends answer affinity on each holder whose
+// cell it re-queues: a worker that let a lease lapse may be hung, or its
+// admission slots held by another tenant's sweeps, so its idle peers must
+// be free to steal every cell it still has queued, answered before or not.
+// Returns how many cells it re-queued.
+func (s *sweepRun) requeueExpired(lapsed []runner.CellLease) int {
 	s.mu.Lock()
 	defer func() {
 		s.mu.Unlock()
@@ -1048,8 +1125,8 @@ func (s *sweepRun) requeueExpired(hashes []string) int {
 		}
 	}
 	requeued := 0
-	for _, h := range hashes {
-		fc := s.byHash[h]
+	for _, l := range lapsed {
+		fc := s.byHash[l.Hash]
 		if fc == nil || queued[fc] {
 			continue
 		}
@@ -1059,16 +1136,20 @@ func (s *sweepRun) requeueExpired(hashes []string) int {
 		if _, failed := s.failures[fc.key]; failed {
 			continue
 		}
+		fc.home = ""
 		owner := s.ring.Owner(fc.key)
 		s.queues[owner] = append(s.queues[owner], fc)
+		for _, held := range s.queues[l.Worker] {
+			held.home = ""
+		}
 		requeued++
 	}
 	return requeued
 }
 
-// requeue puts one cell back onto its ring owner's queue: the failing
-// worker's own under suspicion (it still holds the arc), a survivor's
-// after a death — the latter counts as a re-shard.
+// requeue puts one cell back onto its ring owner's queue, without a home:
+// the failing worker's own under suspicion (it still holds the arc), a
+// survivor's after a death — the latter counts as a re-shard.
 func (s *sweepRun) requeue(from string, fc *fleetCell) {
 	s.mu.Lock()
 	if s.ring.Len() == 0 {
@@ -1076,6 +1157,7 @@ func (s *sweepRun) requeue(from string, fc *fleetCell) {
 		s.mu.Unlock()
 		return
 	}
+	fc.home = ""
 	owner := s.ring.Owner(fc.key)
 	s.queues[owner] = append(s.queues[owner], fc)
 	if owner != from {

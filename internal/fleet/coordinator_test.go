@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,7 +181,9 @@ func TestFleetWorkerLossMidSweep(t *testing.T) {
 
 // TestFleetWorkSteal pairs a deliberately slow worker with a fast one: the
 // fast worker must drain its own queue and then steal the straggler's
-// tail, and the merged bytes still match single-node.
+// tail, and the merged bytes still match single-node. Neither worker keeps
+// results, so answer affinity stays off: a second sweep on the same
+// coordinator places cells by the ring and steals again.
 func TestFleetWorkSteal(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
@@ -194,15 +198,20 @@ func TestFleetWorkSteal(t *testing.T) {
 	_, fast := newFleetWorker(t, server.Options{})
 
 	co, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{slow.URL, fast.URL}})
-	resp, got := postJSON(t, cts.URL, fleetSweepBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("stolen-work response differs from single-node")
-	}
-	if got := counterValue(t, co.Metrics(), "fleet/cells_stolen"); got == 0 {
-		t.Errorf("cells_stolen = 0, want > 0 (fast worker should have raided the slow queue)")
+	var stolen uint64
+	for sweep := 1; sweep <= 2; sweep++ {
+		resp, got := postJSON(t, cts.URL, fleetSweepBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %d: status %d: %s", sweep, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("sweep %d: stolen-work response differs from single-node", sweep)
+		}
+		n := counterValue(t, co.Metrics(), "fleet/cells_stolen")
+		if n == stolen {
+			t.Errorf("sweep %d: cells_stolen stayed at %d, want more (fast worker should have raided the slow queue)", sweep, n)
+		}
+		stolen = n
 	}
 }
 
@@ -268,6 +277,169 @@ func TestFleetSecondRunZeroRecompute(t *testing.T) {
 	}
 	if got := counterValue(t, c.tier.Metrics(), "fleet/peercache/peer_hits"); got == 0 {
 		t.Errorf("fresh worker peer_hits = 0, want > 0")
+	}
+}
+
+// TestFleetExecutesEachNeededCellOnce is answer affinity's contract: two
+// caching workers without peers, one slow enough that the other runs dry
+// and steals. A sweep over cells an earlier sweep cached must simulate
+// only the cells no worker answered before, and its repeat none: each
+// answered cell goes back to the worker that holds it, and no thief takes
+// it from there.
+func TestFleetExecutesEachNeededCellOnce(t *testing.T) {
+	slowExec := func(ctx context.Context, j runner.Job) system.Result {
+		select {
+		case <-time.After(60 * time.Millisecond):
+		case <-ctx.Done():
+		}
+		return coordFakeExecute(ctx, j)
+	}
+	slow, slowTS := newFleetWorker(t, server.Options{Execute: slowExec, MaxInflight: 1, Jobs: 1, CacheDir: t.TempDir()})
+	fast, fastTS := newFleetWorker(t, server.Options{CacheDir: t.TempDir()})
+	_, cts := newTestCoordinator(t, CoordinatorOptions{Workers: []string{slowTS.URL, fastTS.URL}})
+
+	executed := func() uint64 {
+		return counterValue(t, slow.Metrics(), "server/cells_executed") +
+			counterValue(t, fast.Metrics(), "server/cells_executed")
+	}
+	// sweep posts seeds from..16 of two benchmarks and returns how many
+	// cells the fleet simulated for it.
+	sweep := func(from int) uint64 {
+		t.Helper()
+		seeds := make([]string, 0, 16)
+		for s := from; s <= 16; s++ {
+			seeds = append(seeds, strconv.Itoa(s))
+		}
+		body := `{"org":"cameo","benchmarks":["milc","gcc"],"sweep":"seed","values":[` + strings.Join(seeds, ",") + `]}`
+		before := executed()
+		resp, got := postJSON(t, cts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeds %d..16: status %d: %s", from, resp.StatusCode, got)
+		}
+		if want := singleNodeReference(t, body); !bytes.Equal(got, want) {
+			t.Fatalf("seeds %d..16: fleet response differs from single-node:\nfleet:  %s\nsingle: %s", from, got, want)
+		}
+		return executed() - before
+	}
+	if got := sweep(9); got != 16 {
+		t.Fatalf("first sweep simulated %d cells, want its 16", got)
+	}
+	if got := sweep(1); got != 16 {
+		t.Errorf("second sweep simulated %d cells, want exactly the 16 uncached ones", got)
+	}
+	if got := sweep(1); got != 0 {
+		t.Errorf("repeat sweep simulated %d cells, want 0", got)
+	}
+}
+
+// TestStealSparesOnlyActiveHomes pins the limits of the steal rule: a
+// thief takes what an active victim never answered and leaves the rest
+// to it, but a paused suspect's answered cells are stolen like any other.
+func TestStealSparesOnlyActiveHomes(t *testing.T) {
+	const thief, victim = "http://thief", "http://victim"
+	answered := &fleetCell{key: "answered", home: victim}
+	fresh := &fleetCell{key: "fresh"}
+	s := &sweepRun{
+		workers: map[string]*runWorker{
+			thief:  {status: runActive},
+			victim: {status: runActive},
+		},
+		queues: map[string][]*fleetCell{victim: {answered, fresh}},
+	}
+	s.cond = sync.NewCond(&s.mu)
+	key := func(fc *fleetCell) string {
+		if fc == nil {
+			return "nothing"
+		}
+		return fc.key
+	}
+
+	if got := s.stealLocked(thief); got != fresh {
+		t.Fatalf("first steal from an active victim took %s, want fresh", key(got))
+	}
+	if got := s.stealLocked(thief); got != nil {
+		t.Fatalf("second steal from an active victim took %s, want nothing: it answers that cell itself", key(got))
+	}
+	s.pauseWorker(victim)
+	if got := s.stealLocked(thief); got != answered {
+		t.Fatalf("steal from a paused suspect took %s, want its answered cell", key(got))
+	}
+}
+
+// TestJoiningWorkerTakesOnlyUnrecordedCells: a worker admitted mid-sweep
+// takes the queued cells on its new arcs, except a cell recorded for the
+// worker that answered it, which stays where it is.
+func TestJoiningWorkerTakesOnlyUnrecordedCells(t *testing.T) {
+	const a, b = "http://a", "http://b"
+	both := NewRing(0)
+	both.Add(a)
+	both.Add(b)
+	var onB []string
+	for i := 0; len(onB) < 2; i++ {
+		if k := "cell-" + strconv.Itoa(i); both.Owner(k) == b {
+			onB = append(onB, k)
+		}
+	}
+	answered := &fleetCell{key: onB[0], home: a}
+	fresh := &fleetCell{key: onB[1]}
+	s := &sweepRun{
+		ring:    NewRing(0),
+		workers: map[string]*runWorker{a: {status: runActive}},
+		queues:  map[string][]*fleetCell{a: {answered, fresh}},
+		pending: 2,
+	}
+	s.ring.Add(a)
+	s.cond = sync.NewCond(&s.mu)
+
+	s.addWorker(b, 0) // no dispatch slots: only the queue move is under test
+	if q := s.queues[b]; len(q) != 1 || q[0] != fresh {
+		t.Errorf("joining worker's queue holds %d cells, want only the unrecorded one", len(q))
+	}
+	if q := s.queues[a]; len(q) != 1 || q[0] != answered {
+		t.Errorf("answering worker's queue holds %d cells, want only its recorded one", len(q))
+	}
+}
+
+// TestAnswerRecordDropsWholeAtBound: the coordinator's record grows to its
+// bound, and a new hash past the bound drops every entry before it is
+// added.
+func TestAnswerRecordDropsWholeAtBound(t *testing.T) {
+	co, _ := newTestCoordinator(t, CoordinatorOptions{Workers: []string{"http://127.0.0.1:1"}, HeartbeatInterval: time.Hour})
+	for i := 0; i < answerRecordBound; i++ {
+		co.answers.Put(strconv.Itoa(i), "http://a")
+	}
+	if n := co.answers.Len(); n != answerRecordBound {
+		t.Fatalf("record holds %d entries, want %d", n, answerRecordBound)
+	}
+	co.answers.Put("new", "http://a")
+	if n := co.answers.Len(); n != 1 {
+		t.Fatalf("record holds %d entries after passing its bound, want 1", n)
+	}
+}
+
+// TestAnswerRecordForgetsLostWorkers: suspicion, death and revival each
+// drop a worker's entries from the answer record — it may come back at
+// the same URL without its results — and leave other workers' entries.
+func TestAnswerRecordForgetsLostWorkers(t *testing.T) {
+	const a, b = "http://127.0.0.1:1", "http://127.0.0.1:2"
+	co, _ := newTestCoordinator(t, CoordinatorOptions{Workers: []string{a, b}, HeartbeatInterval: time.Hour})
+	for _, step := range []struct {
+		event string
+		lose  func()
+	}{
+		{"turned suspect", func() { co.suspectWorker(a) }},
+		{"was declared dead", func() { co.declareDead(a) }},
+		{"came back from the dead", func() { co.applyProbe(context.Background(), a, true) }},
+	} {
+		co.answers.Put("on-a", a)
+		co.answers.Put("on-b", b)
+		step.lose()
+		if w, ok := co.answers.Get("on-a"); ok {
+			t.Errorf("after %s %s, its cell is still recorded for %s", a, step.event, w)
+		}
+		if w, _ := co.answers.Get("on-b"); w != b {
+			t.Errorf("after %s %s, %s's cell is recorded for %q", a, step.event, b, w)
+		}
 	}
 }
 

@@ -60,24 +60,24 @@ func (lt *leaseTable) release(hash string) {
 	lt.mu.Unlock()
 }
 
-// expired removes and returns the hashes whose grants lapsed at now,
-// sorted. The caller re-dispatches them; any that were secretly still
+// expired removes and returns the grants that lapsed at now, sorted by
+// hash. The caller re-dispatches their cells; any that were secretly still
 // computing resolve harmlessly through the dedupe in resolve().
-func (lt *leaseTable) expired(now time.Time) []string {
+func (lt *leaseTable) expired(now time.Time) []runner.CellLease {
 	if lt == nil {
 		return nil
 	}
 	cutoff := now.UnixMilli()
 	lt.mu.Lock()
-	var out []string
+	var out []runner.CellLease
 	for h, l := range lt.leases {
 		if l.ExpiresUnixMS <= cutoff {
-			out = append(out, h)
+			out = append(out, l)
 			delete(lt.leases, h)
 		}
 	}
 	lt.mu.Unlock()
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Hash < out[j].Hash })
 	return out
 }
 

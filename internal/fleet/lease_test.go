@@ -3,14 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cameo/internal/runner"
 	"cameo/internal/server"
+	"cameo/internal/sweepapi"
 	"cameo/internal/system"
 )
 
@@ -62,8 +66,8 @@ func TestLeaseTableGrantExpireRelease(t *testing.T) {
 		t.Fatalf("expired before ttl = %v, want none", got)
 	}
 	// At t0+100ms only the first grant lapses — and is removed.
-	if got := lt.expired(t0.Add(100 * time.Millisecond)); !reflect.DeepEqual(got, []string{"bbb"}) {
-		t.Fatalf("expired at ttl = %v, want [bbb]", got)
+	if got := lt.expired(t0.Add(100 * time.Millisecond)); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("expired at ttl = %+v, want %+v", got, want[1:])
 	}
 	if got := lt.holder("bbb"); got != "" {
 		t.Fatalf("expired lease still held by %q", got)
@@ -101,8 +105,8 @@ func TestLeaseTableAdopt(t *testing.T) {
 	}
 	// The adopted leases keep their original expiry: they lapse on the prior
 	// coordinator's schedule, not a fresh TTL from now.
-	if got := lt.expired(t0.Add(250 * time.Millisecond)); !reflect.DeepEqual(got, []string{"aa"}) {
-		t.Fatalf("expired after adopt = %v, want [aa]", got)
+	if got := lt.expired(t0.Add(250 * time.Millisecond)); !reflect.DeepEqual(got, live[:1]) {
+		t.Fatalf("expired after adopt = %+v, want %+v", got, live[:1])
 	}
 }
 
@@ -154,6 +158,105 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 		t.Error("leases_granted = 0 — leasing never engaged")
 	}
 	if expired := counterValue(t, snap, "fleet/leases_expired"); expired == 0 {
+		t.Error("leases_expired = 0 — the stalled worker's grant never lapsed")
+	}
+}
+
+// TestLeaseExpiryFreesStalledHome is TestLeaseExpiryRedispatch with
+// answer affinity on: a repeat sweep whose every cell is recorded for a
+// caching worker, while another tenant's sweep holds that worker's only
+// admission slot. Its one dispatch waits in the admission queue past its
+// lease; from the lapse on, its idle peer must steal every cell the stalled
+// worker was to answer instead of leaving them queued behind it.
+func TestLeaseExpiryFreesStalledHome(t *testing.T) {
+	want := singleNodeReference(t, fleetSweepBody)
+	const tenantBody = `{"org":"cameo","benchmarks":["sphinx3"],"sweep":"seed","values":[1]}`
+
+	tenantIn, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	stalledExec := func(ctx context.Context, j runner.Job) system.Result {
+		if j.Specs[0].Name == "sphinx3" {
+			close(tenantIn)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return coordFakeExecute(ctx, j)
+	}
+	var peerRuns atomic.Int64
+	peerExec := func(ctx context.Context, j runner.Job) system.Result {
+		peerRuns.Add(1)
+		return coordFakeExecute(ctx, j)
+	}
+	_, stalled := newFleetWorker(t, server.Options{Execute: stalledExec, MaxInflight: 1, Jobs: 1, CacheDir: t.TempDir()})
+	_, peer := newFleetWorker(t, server.Options{Execute: peerExec, CacheDir: t.TempDir()})
+	co, cts := newTestCoordinator(t, CoordinatorOptions{
+		Workers:  []string{stalled.URL, peer.URL},
+		LeaseTTL: 100 * time.Millisecond,
+	})
+	t.Cleanup(unblock) // first of the cleanups: a drain waits for the tenant
+
+	// The stalled worker answers the sweep once, and the coordinator has
+	// it on record as the home of every cell.
+	if resp, got := postJSON(t, stalled.URL, fleetSweepBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first sweep: status %d: %s", resp.StatusCode, got)
+	}
+	req, err := sweepapi.DecodeRequest(strings.NewReader(fleetSweepBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sweepapi.BuildGrid(req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range grid.Jobs {
+		co.answers.Put(j.Hash(), stalled.URL)
+	}
+
+	tenantDone := make(chan struct{})
+	go func() {
+		defer close(tenantDone)
+		if resp, err := http.Post(stalled.URL+"/sweep", "application/json", strings.NewReader(tenantBody)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-tenantIn
+
+	type reply struct {
+		status int
+		body   []byte
+	}
+	sweepDone := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(cts.URL+"/sweep", "application/json", strings.NewReader(fleetSweepBody))
+		if err != nil {
+			sweepDone <- reply{}
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		sweepDone <- reply{resp.StatusCode, b}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for peerRuns.Load() < int64(len(grid.Jobs)) {
+		if time.Now().After(deadline) {
+			unblock()
+			t.Fatalf("peer simulated %d of %d cells in 5s: the stalled home kept its queue after its lease lapsed", peerRuns.Load(), len(grid.Jobs))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	unblock()
+	<-tenantDone
+	got := <-sweepDone
+	if got.status != http.StatusOK {
+		t.Fatalf("repeat sweep: status %d: %s", got.status, got.body)
+	}
+	if !bytes.Equal(got.body, want) {
+		t.Errorf("repeat sweep differs from single-node:\nfleet:  %s\nsingle: %s", got.body, want)
+	}
+	if expired := counterValue(t, co.Metrics(), "fleet/leases_expired"); expired == 0 {
 		t.Error("leases_expired = 0 — the stalled worker's grant never lapsed")
 	}
 }

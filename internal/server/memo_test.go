@@ -215,11 +215,7 @@ func TestReplyMemoBounded(t *testing.T) {
 	}
 	body := `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[` + strings.Join(values, ",") + `]}`
 	first := mustPostOK(t, ts.URL, body)
-	memoLen := func() int {
-		s.memo.mu.Lock()
-		defer s.memo.mu.Unlock()
-		return len(s.memo.cells)
-	}
+	memoLen := s.memo.Len
 	if got := memoLen(); got > replyMemoBound || got == 0 {
 		t.Fatalf("memo holds %d cells, want 1..%d", got, replyMemoBound)
 	}

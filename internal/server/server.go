@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cameo/internal/boundedmap"
 	"cameo/internal/metrics"
 	"cameo/internal/runner"
 	"cameo/internal/sweepapi"
@@ -103,9 +104,10 @@ type Server struct {
 	forceCtx    context.Context
 	forceCancel context.CancelFunc
 
-	// memo answers cells this process has already answered; nil when the
-	// server has no result cache, so without one every repeat executes.
-	memo *replyMemo
+	// memo answers cells this process has already answered, keyed by cell
+	// hash (runner.Job.Hash); nil when the server has no result cache, so
+	// without one every repeat executes.
+	memo *boundedmap.Map[string, SweepCell]
 
 	reg            *metrics.Registry
 	requests       *metrics.Counter
@@ -178,7 +180,7 @@ func New(opts Options) (*Server, error) {
 		s.cache = cache
 	}
 	if s.cache != nil || opts.Cache != nil {
-		s.memo = &replyMemo{cells: map[string]SweepCell{}}
+		s.memo = boundedmap.New[string, SweepCell](replyMemoBound)
 	}
 	return s, nil
 }
@@ -220,9 +222,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz reports admission readiness with a structured body: 503 once
 // draining so load balancers stop routing new sweeps here, and a JSON
-// ReadyState either way (in-flight slots, queue depth, drain state) so a
-// fleet coordinator can make admission-aware placement decisions instead of
-// inferring load from a bare status code.
+// ReadyState either way (in-flight slots, queue depth, drain state, whether
+// the reply memo keeps results) so a fleet coordinator can make
+// admission-aware placement decisions instead of inferring load from a bare
+// status code.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.ReadyState()
 	w.Header().Set("Content-Type", "application/json")
@@ -244,12 +247,13 @@ func (s *Server) ReadyState() sweepapi.ReadyState {
 		queued = 0
 	}
 	return sweepapi.ReadyState{
-		Ready:       !draining,
-		Draining:    draining,
-		Inflight:    inflight,
-		MaxInflight: s.opts.MaxInflight,
-		Queued:      queued,
-		MaxQueue:    s.opts.MaxQueue,
+		Ready:        !draining,
+		Draining:     draining,
+		Inflight:     inflight,
+		MaxInflight:  s.opts.MaxInflight,
+		Queued:       queued,
+		MaxQueue:     s.opts.MaxQueue,
+		KeepsResults: s.memo != nil,
 	}
 }
 
@@ -380,7 +384,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rest = make([]runner.Job, 0, len(jobs))
 		for i, j := range jobs {
 			hashes[i] = j.Hash()
-			if cells[i], memoized[i] = s.memo.get(hashes[i]); memoized[i] {
+			if cells[i], memoized[i] = s.memo.Get(hashes[i]); memoized[i] {
 				s.cellsFromCache.Inc()
 			} else {
 				rest = append(rest, j)
@@ -432,7 +436,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				LatencyP95:    res.LatencyP95,
 			}
 			if s.memo != nil {
-				s.memo.put(hashes[i], cells[i])
+				s.memo.Put(hashes[i], cells[i])
 			}
 		}
 		cells[i].Benchmark = tags[i]
@@ -473,33 +477,11 @@ func (s *Server) newRunner() *runner.Runner {
 }
 
 // replyMemoBound caps the reply memo: 4096 entries of about 250 B each
-// come to about 1 MiB.
+// come to about 1 MiB. An entry is a reply cell without its Benchmark tag:
+// only what a reply uses, never the decoded system.Result (about 7 KB
+// live). The memo is dropped whole when full: a dropped cell costs one load
+// from the cache tier beneath.
 const replyMemoBound = 4096
-
-// replyMemo maps a cell hash (runner.Job.Hash) to its reply cell without
-// the Benchmark tag. It holds only what a reply uses, never the decoded
-// system.Result (about 7 KB live), and is dropped whole when full: a
-// dropped cell costs one load from the cache tier beneath.
-type replyMemo struct {
-	mu    sync.Mutex
-	cells map[string]SweepCell
-}
-
-func (m *replyMemo) get(hash string) (SweepCell, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.cells[hash]
-	return c, ok
-}
-
-func (m *replyMemo) put(hash string, c SweepCell) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.cells[hash]; !ok && len(m.cells) >= replyMemoBound {
-		clear(m.cells)
-	}
-	m.cells[hash] = c
-}
 
 // admit applies the admission policy: reject while draining, shed with 429
 // when the queue is full, otherwise wait for an execution slot. On ok the

@@ -428,47 +428,59 @@ func TestQueueAdmitsUpToLimit(t *testing.T) {
 }
 
 // TestReadyzBody: /readyz answers a structured JSON body — the admission
-// picture a fleet coordinator sizes its dispatch slots from — both while
-// serving (200) and while draining (503).
+// picture a fleet coordinator sizes its dispatch slots from, and whether
+// the reply memo keeps results for answer affinity — both while serving
+// (200) and while draining (503).
 func TestReadyzBody(t *testing.T) {
-	s, ts := newTestServer(t, Options{MaxInflight: 3, MaxQueue: 5})
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st sweepapi.ReadyState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("readyz body not JSON: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz = %d, want 200", resp.StatusCode)
-	}
-	want := sweepapi.ReadyState{Ready: true, MaxInflight: 3, MaxQueue: 5}
-	if st != want {
-		t.Fatalf("ReadyState = %+v, want %+v", st, want)
-	}
-	if st.FreeSlots() != 3 {
-		t.Fatalf("FreeSlots = %d, want 3", st.FreeSlots())
-	}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		keeps bool
+	}{
+		{"no cache", Options{MaxInflight: 3, MaxQueue: 5}, false},
+		{"disk cache", Options{MaxInflight: 3, MaxQueue: 5, CacheDir: t.TempDir()}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.opts)
+			resp, err := http.Get(ts.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st sweepapi.ReadyState
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatalf("readyz body not JSON: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("readyz = %d, want 200", resp.StatusCode)
+			}
+			want := sweepapi.ReadyState{Ready: true, MaxInflight: 3, MaxQueue: 5, KeepsResults: tc.keeps}
+			if st != want {
+				t.Fatalf("ReadyState = %+v, want %+v", st, want)
+			}
+			if st.FreeSlots() != 3 {
+				t.Fatalf("FreeSlots = %d, want 3", st.FreeSlots())
+			}
 
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drained sweepapi.ReadyState
-	if err := json.NewDecoder(resp.Body).Decode(&drained); err != nil {
-		t.Fatalf("draining readyz body not JSON: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining readyz = %d, want 503", resp.StatusCode)
-	}
-	if drained.Ready || !drained.Draining {
-		t.Fatalf("draining ReadyState = %+v", drained)
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err = http.Get(ts.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drained sweepapi.ReadyState
+			if err := json.NewDecoder(resp.Body).Decode(&drained); err != nil {
+				t.Fatalf("draining readyz body not JSON: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("draining readyz = %d, want 503", resp.StatusCode)
+			}
+			if drained.Ready || !drained.Draining {
+				t.Fatalf("draining ReadyState = %+v", drained)
+			}
+		})
 	}
 }
 

@@ -86,6 +86,10 @@ type ReadyState struct {
 	MaxInflight int  `json:"max_inflight"`
 	Queued      int  `json:"queued"`
 	MaxQueue    int  `json:"max_queue"`
+	// KeepsResults is true when the worker's reply memo is on (it has a
+	// result cache): a cell it answered once it answers again without
+	// simulating, so a coordinator sends such cells back to it.
+	KeepsResults bool `json:"keeps_results"`
 }
 
 // FreeSlots returns how many sweep requests the worker could admit right

@@ -2,8 +2,9 @@
 # Fleet smoke test: a coordinator sharding real sweeps across two cameod
 # workers with cross-wired peer caches. Asserts that
 #   (a) the fleet's merged report is byte-identical to a single-node run,
-#   (b) SIGKILL-ing a worker mid-sweep re-shards its cells onto the
-#       survivor and the sweep still completes byte-identically,
+#   (b) SIGKILL-ing a worker mid-sweep turns it suspect, the survivor
+#       steals its queued cells (its death comes later) and the sweep
+#       still completes byte-identically,
 #   (c) a second fleet run of the same sweep recomputes nothing — the
 #       workers' cells_executed counters do not move.
 #
@@ -103,7 +104,7 @@ cmp "$workdir/reference3.json" "$workdir/fleet3.json" || {
   cat "$workdir/co.log"; exit 1; }
 
 grep -q "worker http://$w1_addr suspect" "$workdir/co.log" || {
-  echo "coordinator log has no re-shard line"; cat "$workdir/co.log"; exit 1; }
+  echo "coordinator log has no suspicion line for the killed worker"; cat "$workdir/co.log"; exit 1; }
 
 echo "fleet smoke test passed"
 
