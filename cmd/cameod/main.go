@@ -15,9 +15,9 @@
 //	               -cachedir turns the reply memo on); 503 once draining
 //	               begins.
 //	GET  /metrics  server counters/gauges as deterministic JSON.
-//	GET/PUT /cache/<hash>  the fleet cache-peer protocol: checksummed
-//	               cameo-cache-entry-v1 envelopes, verified on both ends
-//	               (requires -cachedir).
+//	GET  /cache/<hash>  the fleet cache-peer protocol: a checksummed
+//	               cameo-cache-entry-v1 envelope, which the fetching peer
+//	               verifies before adopting it (requires -cachedir).
 //
 // A request's timeout_ms (and a disconnecting client) cancels its sweep
 // mid-flight: the cancellation reaches the simulator's event loops, which
@@ -33,11 +33,13 @@
 // coordinator probes every worker each -heartbeat (default 1s) and runs
 // the suspicion-based failure detector (alive→suspect→dead, tuned by
 // -suspect-misses/-dead-misses); a dead worker whose probes answer again
-// is re-admitted. -standby runs a spare coordinator that takes over when
-// the primary's death is confirmed. -chaos/-chaos-seed inject
-// deterministic transport faults (drop, latency, error5xx, partition) at
-// the fleet/dispatch, fleet/heartbeat, and fleet/cachefetch sites for
-// replayable drills.
+// is re-admitted. A coordinator keeps nothing on disk, so -cachedir is a
+// usage error with -coordinator: a lost coordinator's sweep is re-posted
+// to a restarted one, or to any other coordinator over the same -workers
+// roster, and the workers answer the cells it completed from their caches.
+// -chaos/-chaos-seed inject deterministic transport faults (drop, latency,
+// error5xx, partition) at the fleet/dispatch, fleet/heartbeat, and
+// fleet/cachefetch sites for replayable drills.
 //
 // On SIGTERM/SIGINT cameod drains: it stops admitting (readyz flips to
 // 503), lets in-flight sweeps finish within -drain-grace, force-cancels any
@@ -84,17 +86,14 @@ func run(args []string, stderr io.Writer) int {
 		maxCells    = fs.Int("max-cells", 1024, "largest grid a single request may ask for")
 		jobTimeout  = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel an attempt running longer than this and reclaim its worker (0 = off)")
 		retries     = fs.Int("retries", 0, "retry transiently-failed cells this many times")
-		cachedir    = fs.String("cachedir", "", "persistent result-cache directory shared across requests and restarts (coordinator mode: checkpoint-manifest directory)")
+		cachedir    = fs.String("cachedir", "", "persistent result-cache directory shared across requests and restarts (workers only: a coordinator keeps nothing on disk)")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight sweeps before cancelling them")
 		peers       = fs.String("peers", "", "comma-separated peer worker base URLs whose caches are consulted before recomputing (needs -cachedir)")
 		coordinator = fs.Bool("coordinator", false, "serve as fleet coordinator: shard sweeps across -workers instead of simulating locally")
 		workers     = fs.String("workers", "", "comma-separated worker base URLs the coordinator shards across")
-		vnodes      = fs.Int("vnodes", 0, "virtual nodes per worker on the hash ring (0 = default)")
-		resume      = fs.Bool("resume", false, "coordinator mode: resume an interrupted sweep from the manifest in -cachedir")
 
-		standby       = fs.String("standby", "", "standby coordinator mode: monitor this primary coordinator URL and take over its sweep (from the shared -cachedir manifest) when its death is confirmed")
-		leaseTTL      = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: cell dispatch lease duration recorded in the manifest; expired leases make cells safely re-dispatchable (0 = leasing off)")
-		heartbeat     = fs.Duration("heartbeat", time.Second, "coordinator and standby modes: failure-detector cadence; every worker (a standby: the primary) is probed this often")
+		leaseTTL      = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: cell dispatch lease duration; a cell whose lease lapses is dispatched again (0 = leasing off)")
+		heartbeat     = fs.Duration("heartbeat", time.Second, "coordinator mode: failure-detector cadence; every worker is probed this often")
 		suspectMisses = fs.Int("suspect-misses", 0, "coordinator mode: consecutive heartbeat misses before a worker turns suspect (0 = default 2)")
 		deadMisses    = fs.Int("dead-misses", 0, "coordinator mode: total consecutive misses before a suspect is declared dead and re-sharded (0 = default: suspect-misses+4)")
 		chaos         = fs.String("chaos", "", "semicolon-separated deterministic fault rules site:kind[:opt=v]... injected under fleet transport (sites fleet/dispatch, fleet/heartbeat, fleet/cachefetch; kinds drop, latency, error5xx, partition)")
@@ -128,60 +127,20 @@ func run(args []string, stderr io.Writer) int {
 	var handler http.Handler
 	drain := func() error { return nil }
 	switch {
-	case *standby != "":
-		if *coordinator {
-			logger.Print("-standby already implies the coordinator role; drop -coordinator")
-			ln.Close()
-			return 2
-		}
-		if *cachedir == "" {
-			logger.Print("-standby needs -cachedir shared with the primary: the checkpoint manifest is the takeover handoff channel")
-			ln.Close()
-			return 2
-		}
-		st, err := fleet.NewStandby(fleet.StandbyOptions{
-			Primary: *standby,
-			Coordinator: fleet.CoordinatorOptions{
-				Workers:           splitList(*workers),
-				VNodes:            *vnodes,
-				MaxCells:          *maxCells,
-				CheckpointDir:     *cachedir,
-				HeartbeatInterval: *heartbeat,
-				SuspectMisses:     *suspectMisses,
-				DeadMisses:        *deadMisses,
-				Chaos:             chaosPlan,
-				ChaosSeed:         *chaosSeed,
-				LeaseTTL:          *leaseTTL,
-				Log:               logger,
-			},
-			Interval:      *heartbeat,
-			SuspectMisses: *suspectMisses,
-			DeadMisses:    *deadMisses,
-			Log:           logger,
-		})
-		if err != nil {
-			logger.Print(err)
-			ln.Close()
-			return 1
-		}
-		defer st.Close()
-		stCtx, stCancel := context.WithCancel(context.Background())
-		defer stCancel()
-		go st.Run(stCtx)
-		handler = st.Handler()
-		logger.Printf("standing by for coordinator %s (takeover from manifest in %s)", *standby, *cachedir)
 	case *coordinator:
 		if *workers == "" {
 			logger.Print("-coordinator needs -workers (the fleet to shard across)")
 			ln.Close()
 			return 2
 		}
+		if *cachedir != "" {
+			logger.Print("-coordinator takes no -cachedir: a coordinator keeps nothing on disk (re-post a lost coordinator's sweep to any coordinator over the same -workers)")
+			ln.Close()
+			return 2
+		}
 		co, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
 			Workers:           splitList(*workers),
-			VNodes:            *vnodes,
 			MaxCells:          *maxCells,
-			CheckpointDir:     *cachedir,
-			Resume:            *resume,
 			HeartbeatInterval: *heartbeat,
 			SuspectMisses:     *suspectMisses,
 			DeadMisses:        *deadMisses,

@@ -109,33 +109,32 @@ func TestRunMembershipFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunStandbyFlagValidation: -standby combinations that cannot work are
-// usage errors naming the conflict.
-func TestRunStandbyFlagValidation(t *testing.T) {
+// TestRunCoordinatorRejectsStateFlags: a coordinator keeps nothing on
+// disk, so -cachedir with -coordinator is a usage error naming the flag,
+// and the retired coordinator-state flags are unknown.
+func TestRunCoordinatorRejectsStateFlags(t *testing.T) {
 	var stderr bytes.Buffer
-	code := run([]string{"-addr", "127.0.0.1:0", "-standby", "http://primary:1", "-coordinator",
-		"-workers", "http://w:1", "-cachedir", t.TempDir()}, &stderr)
+	code := run([]string{"-addr", "127.0.0.1:0", "-coordinator", "-workers", "http://w:1",
+		"-cachedir", t.TempDir()}, &stderr)
 	if code != 2 {
-		t.Fatalf("-standby with -coordinator: exit %d, want 2 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-standby already implies the coordinator role") {
-		t.Fatalf("stderr lacks the -coordinator conflict diagnostic: %q", stderr.String())
-	}
-
-	stderr.Reset()
-	code = run([]string{"-addr", "127.0.0.1:0", "-standby", "http://primary:1"}, &stderr)
-	if code != 2 {
-		t.Fatalf("-standby without -cachedir: exit %d, want 2 (stderr: %s)", code, stderr.String())
+		t.Fatalf("-coordinator with -cachedir: exit %d, want 2 (stderr: %s)", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "-cachedir") {
-		t.Fatalf("stderr lacks the -cachedir diagnostic: %q", stderr.String())
+		t.Fatalf("stderr does not name -cachedir: %q", stderr.String())
 	}
 
-	// A malformed primary URL is caught by the standby's own validation.
-	stderr.Reset()
-	code = run([]string{"-addr", "127.0.0.1:0", "-standby", "primary-sans-scheme:9000",
-		"-cachedir", t.TempDir()}, &stderr)
-	if code != 1 {
-		t.Fatalf("schemeless -standby URL: exit %d, want 1 (stderr: %s)", code, stderr.String())
+	for _, retired := range [][]string{
+		{"-standby", "http://primary:1"},
+		{"-resume"},
+		{"-vnodes", "64"},
+	} {
+		stderr.Reset()
+		args := append([]string{"-addr", "127.0.0.1:0", "-coordinator", "-workers", "http://w:1"}, retired...)
+		if code := run(args, &stderr); code != 2 {
+			t.Fatalf("retired flag %s: exit %d, want 2 (stderr: %s)", retired[0], code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+retired[0]) {
+			t.Fatalf("retired flag %s: stderr lacks the unknown-flag diagnostic: %q", retired[0], stderr.String())
+		}
 	}
 }

@@ -49,7 +49,7 @@ const (
 	// partition drills can starve it without touching dispatch traffic.
 	SiteFleetHeartbeat Site = "fleet/heartbeat"
 	// SiteFleetCacheFetch is consulted before a peer-cache transfer
-	// (GET/PUT /cache/<hash>).
+	// (GET /cache/<hash>).
 	SiteFleetCacheFetch Site = "fleet/cachefetch"
 )
 

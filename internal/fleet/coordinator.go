@@ -8,11 +8,9 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cameo/internal/boundedmap"
@@ -27,21 +25,8 @@ type CoordinatorOptions struct {
 	// Workers are the cameod worker base URLs of the fleet — its whole
 	// roster: no worker joins later. At least one is required.
 	Workers []string
-	// VNodes is the ring's virtual-node count per worker (<=0:
-	// DefaultVirtualNodes).
-	VNodes int
 	// MaxCells caps the grid size a single request may ask for (<=0: 1024).
 	MaxCells int
-	// CheckpointDir, when non-empty, persists a cameo-manifest-v1 manifest
-	// (with the fleet extension) per sweep so a restarted coordinator can
-	// resume: completed cells replay from worker caches, and the manifest
-	// records the live sharding picture plus the membership event log.
-	CheckpointDir string
-	// Resume adopts an existing manifest for the same job set instead of
-	// starting over, including its fleet section: the dead list carries
-	// over, and the membership event sequence continues past the highest
-	// recorded seq so resumed histories never collide.
-	Resume bool
 	// HeartbeatInterval is the failure detector's cadence (<=0: 1s): every
 	// interval each alive worker's /healthz is probed, and misses drive the
 	// alive → suspect → dead lifecycle.
@@ -62,17 +47,12 @@ type CoordinatorOptions struct {
 	// timing, while distinct seeds explore distinct interleavings.
 	ChaosSeed uint64
 	// LeaseTTL, when positive, grants every cell dispatch a time-bounded
-	// lease recorded in the manifest: which worker holds which in-flight
-	// cell, until when. An expired lease makes its cell safely
-	// re-dispatchable (per-key result dedupe makes double execution
-	// harmless), and a crash-recovering or standby coordinator reads the
-	// leases to know what was outstanding. Zero disables leasing.
+	// in-memory lease: which worker holds which in-flight cell, until when.
+	// An expired lease makes its cell re-dispatchable (per-key result
+	// dedupe makes double execution harmless), so a hung or
+	// admission-blocked worker, which the failure detector never suspects,
+	// cannot stall a sweep. Zero disables leasing.
 	LeaseTTL time.Duration
-	// Epoch is this coordinator's generation for split-brain fencing (0:
-	// 1). A standby taking over claims a higher epoch in the manifest; a
-	// coordinator that later reads an epoch above its own from disk has
-	// been superseded and steps down instead of double-driving the fleet.
-	Epoch uint64
 	// Log receives operational lines (suspicions, deaths, re-shards).
 	// Nil discards them.
 	Log *log.Logger
@@ -94,6 +74,13 @@ const dispatchRetries = 2
 // once; every other cell goes to its ring owner. Safe for concurrent
 // sweeps; membership transitions observed by one sweep apply to every
 // active and future sweep.
+//
+// A coordinator keeps nothing on disk: its ring, answer record and leases
+// are hints over the workers' checksummed result caches. A lost
+// coordinator's sweep is re-posted to a restarted one, or to any other
+// coordinator over the same roster: the ring places every cell as the lost
+// one did, and the workers answer the cells it completed from their
+// caches.
 type Coordinator struct {
 	opts    CoordinatorOptions
 	client  *Client
@@ -101,16 +88,9 @@ type Coordinator struct {
 	mem     *membership
 	leases  *leaseTable
 	answers *boundedmap.Map[string, string] // cell hash → worker that answered it
-	epoch   uint64
 
-	// stepped latches once this coordinator discovers a higher epoch on
-	// disk: a standby took over, so this instance must stop driving the
-	// fleet (split-brain refusal). It answers 503 and fails active sweeps.
-	stepped atomic.Bool
-
-	mu        sync.Mutex
-	runs      map[*sweepRun]struct{}
-	adoptOnce sync.Once
+	mu   sync.Mutex
+	runs map[*sweepRun]struct{}
 
 	bgCancel  context.CancelFunc
 	bgWG      sync.WaitGroup
@@ -127,7 +107,6 @@ type Coordinator struct {
 	cellsFail  *metrics.Counter
 	leaseGrant *metrics.Counter
 	leaseExp   *metrics.Counter
-	stepDowns  *metrics.Counter
 }
 
 // NewCoordinator validates the options, builds a Coordinator, and starts
@@ -160,23 +139,10 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Log == nil {
 		opts.Log = log.New(io.Discard, "", 0)
 	}
-	if opts.CheckpointDir != "" {
-		// Unlike a worker (whose disk cache creates -cachedir), the
-		// coordinator uses the directory only for checkpoint manifests, so
-		// it must create it itself — before the first sweep fails trying to
-		// write one.
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("fleet: checkpoint dir: %w", err)
-		}
-	}
-	if opts.Epoch == 0 {
-		opts.Epoch = 1
-	}
 	c := &Coordinator{
 		opts:    opts,
 		client:  NewClient(opts.Chaos),
 		log:     opts.Log,
-		epoch:   opts.Epoch,
 		runs:    map[*sweepRun]struct{}{},
 		reg:     metrics.NewRegistry(),
 		answers: boundedmap.New[string, string](answerRecordBound),
@@ -192,7 +158,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.cellsFail = sc.Counter("cells_failed")
 	c.leaseGrant = sc.Counter("leases_granted")
 	c.leaseExp = sc.Counter("leases_expired")
-	c.stepDowns = sc.Counter("step_downs")
 	c.mem = newMembership(opts.SuspectMisses, opts.DeadMisses, opts.HeartbeatInterval, opts.ChaosSeed, sc)
 	sc.GaugeFunc("workers_alive", func() float64 { return float64(len(c.mem.byState(StateAlive))) })
 	sc.GaugeFunc("workers_suspect", func() float64 { return float64(len(c.mem.byState(StateSuspect))) })
@@ -235,13 +200,6 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// Epoch returns this coordinator's fencing generation.
-func (c *Coordinator) Epoch() uint64 { return c.epoch }
-
-// SteppedDown reports whether this coordinator discovered it was superseded
-// by a higher epoch and refused further work.
-func (c *Coordinator) SteppedDown() bool { return c.stepped.Load() }
-
 // Metrics returns the coordinator's counters under the fleet scope.
 func (c *Coordinator) Metrics() metrics.Snapshot { return c.reg.Snapshot() }
 
@@ -269,11 +227,6 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		// Fencing rides the heartbeat: a standby that took over has claimed
-		// a higher epoch in the shared manifest, and this (possibly
-		// partitioned-and-returned) primary must notice and stand down
-		// before it re-drives the fleet.
-		c.checkEpochFence()
 		for _, w := range c.mem.due(time.Now()) {
 			ok := c.client.Healthy(ctx, w)
 			if ctx.Err() != nil {
@@ -281,38 +234,6 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 			}
 			c.applyProbe(ctx, w, ok)
 		}
-	}
-}
-
-// checkEpochFence reads the shared manifest and steps down when a higher
-// coordinator epoch has been claimed there. No-op without a checkpoint dir
-// (nothing shared to fence on) or once already stepped down.
-func (c *Coordinator) checkEpochFence() {
-	if c.opts.CheckpointDir == "" || c.stepped.Load() {
-		return
-	}
-	m, err := runner.ReadManifest(c.opts.CheckpointDir)
-	if err != nil || m.Fleet == nil {
-		return // no manifest (or no fleet section) — nothing claims the run
-	}
-	if m.Fleet.Epoch > c.epoch {
-		c.stepDown(m.Fleet.Epoch)
-	}
-}
-
-// stepDown retires this coordinator after a takeover: it stops accepting
-// sweeps (503), fails its active runs, and never writes the manifest again
-// — the new epoch's coordinator owns the run now, and two writers would be
-// the exact split-brain the epochs exist to prevent.
-func (c *Coordinator) stepDown(newer uint64) {
-	if c.stepped.Swap(true) {
-		return
-	}
-	c.stepDowns.Inc()
-	c.log.Printf("fleet: coordinator epoch %d superseded by epoch %d on disk; stepping down", c.epoch, newer)
-	err := fmt.Errorf("%w: epoch %d superseded by %d", errSteppedDown, c.epoch, newer)
-	for _, r := range c.snapshotRuns() {
-		r.fail(err)
 	}
 }
 
@@ -343,9 +264,6 @@ func (c *Coordinator) leaseReaperLoop(ctx context.Context) {
 		}
 		if requeued > 0 {
 			c.log.Printf("fleet: %d lease(s) expired; re-dispatching %d unresolved cell(s)", len(expired), requeued)
-			for _, r := range c.snapshotRuns() {
-				r.checkpointFleet()
-			}
 		}
 	}
 }
@@ -366,7 +284,6 @@ func (c *Coordinator) applyProbe(ctx context.Context, worker string, ok bool) {
 		c.log.Printf("fleet: worker %s dead (suspicion window elapsed), re-sharding its cells", worker)
 		for _, r := range c.snapshotRuns() {
 			r.removeWorker(worker)
-			r.checkpointFleet()
 		}
 	case transRecovered:
 		c.log.Printf("fleet: worker %s answered again before the suspicion window elapsed; resuming (no re-shard)", worker)
@@ -398,7 +315,6 @@ func (c *Coordinator) declareDead(worker string) {
 	c.forgetAnswers(worker)
 	for _, r := range c.snapshotRuns() {
 		r.removeWorker(worker)
-		r.checkpointFleet()
 	}
 }
 
@@ -443,13 +359,8 @@ func (c *Coordinator) admitToRuns(ctx context.Context, worker string) {
 	}
 	for _, r := range c.snapshotRuns() {
 		r.addWorker(worker, slots)
-		r.checkpointFleet()
 	}
 }
-
-// errSteppedDown answers sweeps on a coordinator that lost its epoch race:
-// a standby claimed the run, and this instance refuses to double-drive it.
-var errSteppedDown = errors.New("fleet: coordinator stepped down (superseded by a newer epoch)")
 
 // errBadRequest marks request-shaped failures (unknown org/benchmark,
 // oversized grid) so the HTTP layer can answer 400 exactly like a worker.
@@ -500,7 +411,13 @@ type runWorker struct {
 type sweepRun struct {
 	co  *Coordinator
 	ctx context.Context
-	req sweepapi.Request
+	// dctx bounds the dispatch I/O (cell dispatches, health probes and
+	// backoff waits): the sweep's context, cancelled as soon as every cell
+	// has resolved. A straggler dispatch, to a hung or admission-blocked
+	// worker whose cell a lapsed lease re-dispatched elsewhere, then ends at
+	// once, and the worker drops the unneeded cell.
+	dctx context.Context
+	req  sweepapi.Request
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -514,8 +431,6 @@ type sweepRun struct {
 	pending  int // unresolved unique cells
 	closed   bool
 	fatal    error
-
-	cp *runner.Checkpoint
 }
 
 // Run executes one sweep across the fleet and returns the merged
@@ -527,9 +442,6 @@ type sweepRun struct {
 // when the whole fleet is lost. Worker-quarantined cells are not an
 // error; they appear in Response.Failures.
 func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.Response, error) {
-	if c.stepped.Load() {
-		return nil, errSteppedDown
-	}
 	grid, err := sweepapi.BuildGrid(req, c.opts.MaxCells)
 	if err != nil {
 		return nil, &errBadRequest{err: err}
@@ -549,9 +461,12 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		order = append(order, fc)
 	}
 
+	dctx, cancelDispatch := context.WithCancel(ctx)
+	defer cancelDispatch()
 	s := &sweepRun{
 		co:       c,
 		ctx:      ctx,
+		dctx:     dctx,
 		req:      req,
 		workers:  map[string]*runWorker{},
 		queues:   map[string][]*fleetCell{},
@@ -565,19 +480,6 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		s.byHash[fc.hash] = fc
 	}
 
-	if c.opts.CheckpointDir != "" {
-		cp, err := runner.OpenCheckpoint(c.opts.CheckpointDir, grid.Jobs, c.opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		s.cp = cp
-		if c.opts.Resume {
-			// Adopt the interrupted run's membership history once: its
-			// dead list carries over and the event sequence continues.
-			c.adoptOnce.Do(func() { c.mem.adoptPrior(cp.Fleet()) })
-		}
-	}
-
 	// Build the ring over the current membership and probe each worker's
 	// admission state: the advertised MaxInflight sizes its dispatch slots
 	// (admission-aware placement). A worker that cannot answer /readyz is
@@ -587,7 +489,7 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	if len(members) == 0 {
 		return nil, errors.New("fleet: no live workers")
 	}
-	s.ring = NewRing(c.opts.VNodes)
+	s.ring = NewRing(DefaultVirtualNodes)
 	slots := map[string]int{}
 	keeps := map[string]bool{}
 	for _, w := range members {
@@ -621,41 +523,8 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		}
 	}
 
-	// Resuming over a crashed coordinator's manifest: adopt its outstanding
-	// leases. Cells under a still-live lease are deferred — pulled out of
-	// the queues until the grant lapses (the lease reaper re-queues them) —
-	// so this coordinator never races a prior holder that may yet be
-	// computing. Expired grants were dropped by adopt and dispatch at once.
-	if s.cp != nil && c.opts.Resume && c.leases != nil {
-		if fs := s.cp.Fleet(); fs != nil && len(fs.Leases) > 0 {
-			deferred := map[*fleetCell]bool{}
-			for _, l := range c.leases.adopt(fs.Leases, time.Now()) {
-				fc := s.byHash[l.Hash]
-				if fc == nil || s.cp.Done(l.Hash) {
-					// Not this sweep's cell, or already resolved by the
-					// prior coordinator: nothing to wait for.
-					c.leases.release(l.Hash)
-					continue
-				}
-				deferred[fc] = true
-			}
-			if len(deferred) > 0 {
-				for w, q := range s.queues {
-					kept := q[:0]
-					for _, fc := range q {
-						if !deferred[fc] {
-							kept = append(kept, fc)
-						}
-					}
-					s.queues[w] = kept
-				}
-				c.log.Printf("fleet: resumed with %d cell(s) under live leases; deferring them until the grants lapse", len(deferred))
-			}
-		}
-	}
-
 	// Register with the coordinator so membership transitions reach this
-	// sweep, then persist the starting picture.
+	// sweep.
 	c.mu.Lock()
 	c.runs[s] = struct{}{}
 	c.mu.Unlock()
@@ -664,7 +533,6 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		delete(c.runs, s)
 		c.mu.Unlock()
 	}()
-	s.checkpointFleet()
 
 	s.mu.Lock()
 	for w, n := range slots {
@@ -687,19 +555,19 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	// record (or something fatal happened) — not when the loops drain:
 	// with every member paused under suspicion there may be moments with
 	// no runnable loop at all, and the sweep must simply wait them out.
+	// Once it resolves, dispatches still in flight are stragglers whose
+	// cells resolved elsewhere: cancel them rather than wait for them.
 	s.mu.Lock()
 	for s.pending > 0 && s.fatal == nil {
 		s.cond.Wait()
 	}
 	s.closed = true
+	fatal := s.fatal
 	s.mu.Unlock()
+	cancelDispatch()
 	s.cond.Broadcast()
 	s.wg.Wait()
 	close(watchDone)
-
-	s.mu.Lock()
-	fatal := s.fatal
-	s.mu.Unlock()
 	if fatal != nil {
 		return nil, fatal
 	}
@@ -721,11 +589,6 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		sort.Strings(keys)
 		for _, k := range keys {
 			resp.Failures = append(resp.Failures, s.failures[k])
-		}
-	}
-	if len(resp.Failures) == 0 && s.cp != nil {
-		if err := s.cp.Finish(); err != nil {
-			c.log.Printf("fleet: removing manifest: %v", err)
 		}
 	}
 	c.sweeps.Inc()
@@ -928,8 +791,7 @@ func (s *sweepRun) stealLocked(thief string) *fleetCell {
 func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 	attempts := 0
 	for {
-		if err := s.ctx.Err(); err != nil {
-			s.fail(err)
+		if s.ended() {
 			return
 		}
 		req := sweepapi.CellRequest(s.req, fc.spec)
@@ -942,15 +804,13 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 		}
 		s.co.dispatched.Inc()
 		if s.co.leases != nil {
-			// Grant (or re-grant) the dispatch lease and persist it before
-			// the cell leaves: a coordinator crashing mid-dispatch must
-			// leave a manifest that says exactly which cells were in whose
-			// hands, and until when those grants fence re-dispatch.
+			// Grant (or re-grant) the dispatch lease before the cell
+			// leaves: should the worker never answer, the reaper
+			// re-dispatches the cell once the grant lapses.
 			s.co.leases.grant(fc.hash, worker, time.Now())
 			s.co.leaseGrant.Inc()
-			s.checkpointFleet()
 		}
-		resp, err := s.co.client.RunCell(s.ctx, worker, req)
+		resp, err := s.co.client.RunCell(s.dctx, worker, req)
 		if err == nil {
 			s.resolve(worker, fc, resp)
 			return
@@ -971,11 +831,11 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			if wait > 2*time.Second {
 				wait = 2 * time.Second
 			}
-			if err := waitBackoff(s.ctx, wait); err != nil {
+			if err := waitBackoff(s.dctx, wait); err != nil {
 				// The sweep's remaining budget cannot cover the backoff:
 				// fail fast with the deadline-tagged error instead of
 				// sleeping into the deadline.
-				s.fail(err)
+				s.failUnlessEnded(err)
 				return
 			}
 			continue
@@ -1002,15 +862,15 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			attempts++
 			if attempts <= dispatchRetries {
 				s.co.retries.Inc()
-				if err := waitBackoff(s.ctx, time.Duration(attempts)*100*time.Millisecond); err != nil {
-					s.fail(err)
+				if err := waitBackoff(s.dctx, time.Duration(attempts)*100*time.Millisecond); err != nil {
+					s.failUnlessEnded(err)
 					return
 				}
 				continue
 			}
 			// Out of retries: is the worker gone, or is the cell cursed?
-			// A probe cut short by the sweep's own end answers neither.
-			healthy := s.co.client.Healthy(s.ctx, worker)
+			// A probe cut short by the sweep's end answers neither.
+			healthy := s.co.client.Healthy(s.dctx, worker)
 			if s.ended() {
 				return
 			}
@@ -1036,12 +896,14 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 	}
 }
 
-// ended reports whether the sweep's context is done, ending the sweep with
-// its error if so: a dispatch or probe that failed after that says nothing
-// about the worker or the cell. Once the deadline has passed it waits for
-// the context to catch up: a worker's 504 answers the deadline forwarded
-// as timeout_ms, which is rounded up and so fires no earlier than the
-// sweep's own, but the response can beat the sweep's timer.
+// ended reports whether this dispatch should stop: the sweep's context is
+// done, which ends the sweep with its error, or the sweep resolved without
+// it. Either way a dispatch or probe that failed after that says nothing
+// about the worker or the cell, so the caller records no failure and
+// suspects no one. Once the deadline has passed it waits for the context
+// to catch up: a worker's 504 answers the deadline forwarded as
+// timeout_ms, which is rounded up and so fires no earlier than the sweep's
+// own, but the response can beat the sweep's timer.
 func (s *sweepRun) ended() bool {
 	if dl, ok := s.ctx.Deadline(); ok && !time.Now().Before(dl) {
 		<-s.ctx.Done()
@@ -1050,14 +912,23 @@ func (s *sweepRun) ended() bool {
 		s.fail(err)
 		return true
 	}
-	return false
+	return s.dctx.Err() != nil
+}
+
+// failUnlessEnded ends the sweep with a backoff's error, unless the wait
+// was cut short because the sweep itself ended (see ended).
+func (s *sweepRun) failUnlessEnded(err error) {
+	if !s.ended() {
+		s.fail(err)
+	}
 }
 
 // resolve records a worker's answer for one cell. Duplicate answers for
 // the same canonical cell key (a revived worker's stale dispatch racing
-// the re-assigned one) are dropped here — the dedupe that guarantees no
-// cell resolves twice whatever the membership churn. A result goes into
-// the coordinator's answer record.
+// the re-assigned one, or a lapsed lease's holder answering after the
+// re-dispatch already failed) are dropped here and in recordFailure — the
+// dedupe that guarantees no cell resolves twice whatever the membership
+// churn. A result goes into the coordinator's answer record.
 func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response) {
 	if len(resp.Failures) > 0 {
 		// The worker ran the cell and quarantined it (keep-going): adopt
@@ -1078,22 +949,32 @@ func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response
 		return
 	}
 	s.mu.Lock()
-	if _, dup := s.results[fc.key]; !dup {
+	if !s.resolvedLocked(fc.key) {
 		s.results[fc.key] = resp.Cells[0]
 		s.pending--
 	}
 	s.mu.Unlock()
 	s.co.answers.Put(fc.hash, worker)
 	s.co.leases.release(fc.hash)
-	s.cp.MarkDone(fc.hash)
 	s.cond.Broadcast()
+}
+
+// resolvedLocked reports whether a cell already has a result or a failure
+// record: the first answer resolves it, and each cell counts once towards
+// pending. Callers hold s.mu.
+func (s *sweepRun) resolvedLocked(key string) bool {
+	_, ok := s.results[key]
+	if !ok {
+		_, ok = s.failures[key]
+	}
+	return ok
 }
 
 // recordFailure quarantines one cell fleet-side.
 func (s *sweepRun) recordFailure(fc *fleetCell, cf runner.CellFailure) {
 	s.co.cellsFail.Inc()
 	s.mu.Lock()
-	if _, dup := s.failures[fc.key]; !dup {
+	if !s.resolvedLocked(fc.key) {
 		s.failures[fc.key] = cf
 		s.pending--
 	}
@@ -1109,7 +990,7 @@ func (s *sweepRun) recordFailure(fc *fleetCell, cf runner.CellFailure) {
 // admission slots held by another tenant's sweeps, so its idle peers must
 // be free to steal every cell it still has queued, answered before or not.
 // Returns how many cells it re-queued.
-func (s *sweepRun) requeueExpired(lapsed []runner.CellLease) int {
+func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 	s.mu.Lock()
 	defer func() {
 		s.mu.Unlock()
@@ -1126,20 +1007,17 @@ func (s *sweepRun) requeueExpired(lapsed []runner.CellLease) int {
 	}
 	requeued := 0
 	for _, l := range lapsed {
-		fc := s.byHash[l.Hash]
+		fc := s.byHash[l.hash]
 		if fc == nil || queued[fc] {
 			continue
 		}
-		if _, done := s.results[fc.key]; done {
-			continue
-		}
-		if _, failed := s.failures[fc.key]; failed {
+		if s.resolvedLocked(fc.key) {
 			continue
 		}
 		fc.home = ""
 		owner := s.ring.Owner(fc.key)
 		s.queues[owner] = append(s.queues[owner], fc)
-		for _, held := range s.queues[l.Worker] {
+		for _, held := range s.queues[l.worker] {
 			held.home = ""
 		}
 		requeued++
@@ -1173,44 +1051,6 @@ func (s *sweepRun) fatalLocked(err error) {
 		s.fatal = err
 	}
 	s.cond.Broadcast()
-}
-
-// checkpointFleet writes the current sharding picture, membership event
-// log, coordinator epoch, and outstanding leases into the manifest —
-// after checking the fence: a higher epoch already on disk means a standby
-// took over, and writing would re-open the split brain the epoch exists to
-// close. Callers must NOT hold s.mu.
-func (s *sweepRun) checkpointFleet() {
-	if s.cp == nil {
-		return
-	}
-	s.co.checkEpochFence()
-	if s.co.stepped.Load() {
-		return
-	}
-	fs := &runner.FleetState{Assignments: map[string][]string{}}
-	fs.Epoch = s.co.epoch
-	fs.Leases = s.co.leases.snapshot()
-	s.mu.Lock()
-	for w, rw := range s.workers {
-		if rw.status == runGone {
-			continue
-		}
-		fs.Workers = append(fs.Workers, w)
-		hashes := make([]string, 0, len(s.queues[w]))
-		for _, fc := range s.queues[w] {
-			hashes = append(hashes, fc.hash)
-		}
-		sort.Strings(hashes)
-		if len(hashes) > 0 {
-			fs.Assignments[w] = hashes
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(fs.Workers)
-	fs.Dead = s.co.mem.byState(StateDead)
-	fs.Events = s.co.mem.eventLog()
-	s.cp.SetFleet(fs)
 }
 
 // firstLine trims a message to its first line, like the runner's failure
@@ -1291,9 +1131,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.As(err, &bad):
 		writeError(w, http.StatusBadRequest, bad.Error())
-		return
-	case errors.Is(err, errSteppedDown):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "sweep cancelled: "+err.Error())

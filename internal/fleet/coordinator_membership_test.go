@@ -146,19 +146,9 @@ func TestFleetFalseDeathRevival(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("post-revival sweep: status %d, identical=%v", resp.StatusCode, bytes.Equal(got, want))
 	}
-	// Membership history records the full journey with monotonic seqs.
-	events := co.mem.eventLog()
-	var lastSeq uint64
-	kinds := map[string]int{}
-	for _, ev := range events {
-		if ev.Seq <= lastSeq {
-			t.Errorf("event seq %d after %d — not monotonic", ev.Seq, lastSeq)
-		}
-		lastSeq = ev.Seq
-		kinds[ev.Kind]++
-	}
-	if kinds["leave"] != 1 || kinds["rejoin"] != 1 {
-		t.Errorf("event kinds = %v, want one leave and one rejoin", kinds)
+	// Two roster admissions and one revival.
+	if got := counterOrZero(co.Metrics(), "fleet/joins"); got != 3 {
+		t.Errorf("joins = %d, want 3", got)
 	}
 }
 

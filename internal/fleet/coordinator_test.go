@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -417,6 +415,36 @@ func TestAnswerRecordDropsWholeAtBound(t *testing.T) {
 	}
 }
 
+// TestCellResolvesOnce: a cell answered twice, once with a failure and
+// once with a result, in either order, resolves once. That happens when a
+// lapsed lease's holder answers late after the re-dispatch failed (a
+// healthy worker answering 500, say). Counting both would resolve the
+// sweep while another cell is still in flight, and the reply would list
+// the first cell twice and drop the other.
+func TestCellResolvesOnce(t *testing.T) {
+	co, _ := newTestCoordinator(t, CoordinatorOptions{Workers: []string{"http://127.0.0.1:1"}, HeartbeatInterval: time.Hour})
+	result := &sweepapi.Response{Cells: []sweepapi.Cell{{Cycles: 1}}}
+	failure := runner.CellFailure{Key: "x", Kind: "error"}
+	for _, failFirst := range []bool{true, false} {
+		s := &sweepRun{co: co, results: map[string]sweepapi.Cell{}, failures: map[string]runner.CellFailure{}, pending: 2}
+		s.cond = sync.NewCond(&s.mu)
+		x := &fleetCell{key: "x", hash: "hx"}
+		if failFirst {
+			s.recordFailure(x, failure)
+			s.resolve("http://a", x, result)
+		} else {
+			s.resolve("http://a", x, result)
+			s.recordFailure(x, failure)
+		}
+		_, asResult := s.results["x"]
+		_, asFailure := s.failures["x"]
+		if s.pending != 1 || asResult == asFailure {
+			t.Errorf("failure first %v: pending %d, as result %v, as failure %v; want pending 1 and exactly one record",
+				failFirst, s.pending, asResult, asFailure)
+		}
+	}
+}
+
 // TestAnswerRecordForgetsLostWorkers: suspicion, death and revival each
 // drop a worker's entries from the answer record — it may come back at
 // the same URL without its results — and leave other workers' entries.
@@ -483,65 +511,80 @@ func TestFleetFailureTaxonomyMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestFleetCheckpoint: a sweep with a quarantined cell leaves a
-// cameo-manifest-v1 manifest carrying the fleet extension; a clean sweep
-// removes it.
-func TestFleetCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	panicky := func(ctx context.Context, j runner.Job) system.Result {
-		if j.Cfg.Seed == 11 {
-			panic("injected: seed 11 is cursed")
+// TestCoordinatorLossRepost is the coordinator-loss drill in unit form: a
+// coordinator is lost mid-sweep (its sweep context ends, then it closes)
+// with the seed-11 cells still computing, and the client re-posts the
+// sweep to a second, ordinary coordinator over the same roster. That one
+// has no state from the first; its ring places every cell as the first
+// one's did, so the answer is byte-identical to a single-node run and the
+// workers simulate only the three cells that were outstanding, answering
+// the rest from their caches.
+func TestCoordinatorLossRepost(t *testing.T) {
+	want := singleNodeReference(t, fleetSweepBody)
+
+	// Seed-11 cells block (until released) so the first coordinator can be
+	// lost with work provably outstanding; all other cells finish fast.
+	var blocked atomic.Bool
+	blocked.Store(true)
+	gatedExec := func(ctx context.Context, j runner.Job) system.Result {
+		if j.Cfg.Seed == 11 && blocked.Load() {
+			<-ctx.Done()
 		}
 		return coordFakeExecute(ctx, j)
 	}
-	_, w1 := newFleetWorker(t, server.Options{Execute: panicky})
-	co, err := NewCoordinator(CoordinatorOptions{Workers: []string{w1.URL}, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	// Cross-wired peer caches, as cameod -peers wires them: a cell one
+	// worker stole and simulated is fetched, not simulated again, when the
+	// ring sends it to the other.
+	mkNode := func() (*server.Server, *httptest.Server, *PeerTier) {
+		dc, err := runner.OpenDiskCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dc.Close() })
+		tier := NewPeerTier(dc, nil, time.Second)
+		srv, ts := newFleetWorker(t, server.Options{Execute: gatedExec, Disk: dc, Cache: tier})
+		return srv, ts, tier
 	}
-	t.Cleanup(co.Close)
+	a, ats, atier := mkNode()
+	b, bts, btier := mkNode()
+	atier.SetPeers([]string{bts.URL})
+	btier.SetPeers([]string{ats.URL})
+	workers := []string{ats.URL, bts.URL}
+	executed := func() uint64 {
+		return counterValue(t, a.Metrics(), "server/cells_executed") +
+			counterValue(t, b.Metrics(), "server/cells_executed")
+	}
+
 	var req sweepapi.Request
 	if err := json.Unmarshal([]byte(fleetSweepBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	sresp, err := co.Run(context.Background(), req)
+	lost, err := NewCoordinator(CoordinatorOptions{Workers: workers, LeaseTTL: 150 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(sresp.Failures) == 0 {
-		t.Fatalf("expected a quarantined cell")
-	}
-	data, err := os.ReadFile(filepath.Join(dir, runner.ManifestName))
-	if err != nil {
-		t.Fatalf("manifest missing after partial sweep: %v", err)
-	}
-	var m runner.Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Schema != runner.ManifestSchema {
-		t.Errorf("manifest schema %q, want %q", m.Schema, runner.ManifestSchema)
+	runCtx, cancelRun := context.WithTimeout(context.Background(), 900*time.Millisecond)
+	defer cancelRun()
+	if _, err := lost.Run(runCtx, req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first coordinator's Run = %v, want deadline exceeded (the simulated loss)", err)
 	}
-	if m.Fleet == nil || len(m.Fleet.Workers) != 1 {
-		t.Errorf("manifest fleet section = %+v, want 1 worker", m.Fleet)
-	}
-	if len(m.Done) == 0 {
-		t.Errorf("manifest recorded no completed cells")
+	lost.Close()
+	execBefore := executed()
+	if execBefore != 9 {
+		t.Fatalf("the lost sweep simulated %d cells, want the 9 ungated ones", execBefore)
 	}
 
-	// A clean fleet (no panics) resumed over the same cache dir finishes
-	// and removes the manifest.
-	_, w2 := newFleetWorker(t, server.Options{})
-	co2, err := NewCoordinator(CoordinatorOptions{Workers: []string{w2.URL}, CheckpointDir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
+	blocked.Store(false)
+	_, cts := newTestCoordinator(t, CoordinatorOptions{Workers: workers, LeaseTTL: 150 * time.Millisecond})
+	resp, got := postJSON(t, cts.URL, fleetSweepBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-posted sweep: %d %s", resp.StatusCode, got)
 	}
-	t.Cleanup(co2.Close)
-	if _, err := co2.Run(context.Background(), req); err != nil {
-		t.Fatalf("resume Run: %v", err)
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-posted sweep differs from single-node:\nfleet:  %s\nsingle: %s", got, want)
 	}
-	if _, err := os.Stat(filepath.Join(dir, runner.ManifestName)); !os.IsNotExist(err) {
-		t.Errorf("manifest still present after clean finish: %v", err)
+	if delta := executed() - execBefore; delta != 3 {
+		t.Errorf("re-posted sweep simulated %d cells, want the 3 outstanding ones (the rest come from the worker caches)", delta)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -23,21 +24,12 @@ func TestLeaseTableDisabled(t *testing.T) {
 	if lt != nil {
 		t.Fatal("ttl 0 should disable leasing (nil table)")
 	}
-	// Every method must be a safe no-op on the nil table — the single-
-	// coordinator paths call them unconditionally.
+	// Every method must be a safe no-op on the nil table — the dispatch
+	// path calls them unconditionally.
 	lt.grant("h", "w", time.Now())
 	lt.release("h")
 	if got := lt.expired(time.Now()); got != nil {
 		t.Fatalf("nil table expired = %v, want nil", got)
-	}
-	if got := lt.holder("h"); got != "" {
-		t.Fatalf("nil table holder = %q, want empty", got)
-	}
-	if got := lt.snapshot(); got != nil {
-		t.Fatalf("nil table snapshot = %v, want nil", got)
-	}
-	if got := lt.adopt([]runner.CellLease{{Hash: "h"}}, time.Now()); got != nil {
-		t.Fatalf("nil table adopt = %v, want nil", got)
 	}
 }
 
@@ -46,75 +38,46 @@ func TestLeaseTableGrantExpireRelease(t *testing.T) {
 	lt := newLeaseTable(100 * time.Millisecond)
 
 	lt.grant("bbb", "http://w1", t0)
+	lt.grant("abc", "http://w2", t0)
 	lt.grant("aaa", "http://w2", t0.Add(50*time.Millisecond))
-	if got := lt.holder("bbb"); got != "http://w1" {
-		t.Fatalf("holder(bbb) = %q, want http://w1", got)
-	}
-
-	// Snapshot is sorted by hash and carries absolute expiry stamps.
-	snap := lt.snapshot()
-	want := []runner.CellLease{
-		{Hash: "aaa", Worker: "http://w2", ExpiresUnixMS: t0.Add(150 * time.Millisecond).UnixMilli()},
-		{Hash: "bbb", Worker: "http://w1", ExpiresUnixMS: t0.Add(100 * time.Millisecond).UnixMilli()},
-	}
-	if !reflect.DeepEqual(snap, want) {
-		t.Fatalf("snapshot = %+v, want %+v", snap, want)
-	}
+	lt.grant("ccc", "http://w1", t0)
+	lt.grant("ddd", "http://w1", t0)
+	// A re-grant replaces the lease: the newest holder owns the cell, on a
+	// fresh TTL.
+	lt.grant("ccc", "http://w3", t0.Add(60*time.Millisecond))
+	// Release drops a lease outright: it never lapses.
+	lt.release("ddd")
 
 	// Nothing lapses before the first TTL elapses.
 	if got := lt.expired(t0.Add(99 * time.Millisecond)); got != nil {
-		t.Fatalf("expired before ttl = %v, want none", got)
+		t.Fatalf("expired before ttl = %+v, want none", got)
 	}
-	// At t0+100ms only the first grant lapses — and is removed.
-	if got := lt.expired(t0.Add(100 * time.Millisecond)); !reflect.DeepEqual(got, want[1:]) {
-		t.Fatalf("expired at ttl = %+v, want %+v", got, want[1:])
-	}
-	if got := lt.holder("bbb"); got != "" {
-		t.Fatalf("expired lease still held by %q", got)
-	}
-
-	// A re-grant replaces the lease: the newest holder owns the cell.
-	lt.grant("aaa", "http://w3", t0.Add(60*time.Millisecond))
-	if got := lt.holder("aaa"); got != "http://w3" {
-		t.Fatalf("re-granted holder = %q, want http://w3", got)
-	}
-
-	// Release drops it outright.
-	lt.release("aaa")
-	if got := lt.snapshot(); len(got) != 0 {
-		t.Fatalf("snapshot after release = %+v, want empty", got)
-	}
-}
-
-func TestLeaseTableAdopt(t *testing.T) {
-	t0 := time.UnixMilli(2_000_000)
-	lt := newLeaseTable(time.Second)
-	live := lt.adopt([]runner.CellLease{
-		{Hash: "gone", Worker: "http://w1", ExpiresUnixMS: t0.Add(-time.Millisecond).UnixMilli()},
-		{Hash: "zz", Worker: "http://w2", ExpiresUnixMS: t0.Add(300 * time.Millisecond).UnixMilli()},
-		{Hash: "aa", Worker: "http://w3", ExpiresUnixMS: t0.Add(200 * time.Millisecond).UnixMilli()},
-		{Hash: "", Worker: "http://junk", ExpiresUnixMS: t0.Add(time.Hour).UnixMilli()},
-	}, t0)
-
-	// Expired and malformed entries are dropped; live ones come back sorted.
-	if len(live) != 2 || live[0].Hash != "aa" || live[1].Hash != "zz" {
-		t.Fatalf("adopt live = %+v, want [aa zz]", live)
-	}
-	if got := lt.holder("gone"); got != "" {
-		t.Fatalf("adopted an already-expired lease: holder = %q", got)
-	}
-	// The adopted leases keep their original expiry: they lapse on the prior
-	// coordinator's schedule, not a fresh TTL from now.
-	if got := lt.expired(t0.Add(250 * time.Millisecond)); !reflect.DeepEqual(got, live[:1]) {
-		t.Fatalf("expired after adopt = %+v, want %+v", got, live[:1])
+	// Each grant lapses at its own expiry, sorted by hash, and is removed.
+	for _, step := range []struct {
+		at   time.Duration
+		want []cellLease
+	}{
+		{100 * time.Millisecond, []cellLease{
+			{hash: "abc", worker: "http://w2", expires: t0.Add(100 * time.Millisecond)},
+			{hash: "bbb", worker: "http://w1", expires: t0.Add(100 * time.Millisecond)},
+		}},
+		{150 * time.Millisecond, []cellLease{{hash: "aaa", worker: "http://w2", expires: t0.Add(150 * time.Millisecond)}}},
+		{160 * time.Millisecond, []cellLease{{hash: "ccc", worker: "http://w3", expires: t0.Add(160 * time.Millisecond)}}},
+		{time.Hour, nil},
+	} {
+		if got := lt.expired(t0.Add(step.at)); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("expired at t0+%s = %+v, want %+v", step.at, got, step.want)
+		}
 	}
 }
 
 // TestLeaseExpiryRedispatch: a worker stalls on a cell far past its lease.
 // The reaper must notice the lapsed grant and hand the cell back to the
-// queues, where the healthy worker picks it up — the sweep completes with
-// single-node bytes long before the straggler would have answered, and the
-// straggler's late result is dropped by the per-key dedupe.
+// queues, where the healthy worker picks it up, and the sweep completes
+// with single-node bytes. The stalled worker answers before the sweep can
+// return, so the per-key dedupe drops its late result; a straggler still
+// computing when the sweep resolves is cancelled instead (see
+// TestResolvedSweepCancelsStragglers).
 func TestLeaseExpiryRedispatch(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
@@ -162,19 +125,30 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryFreesStalledHome is TestLeaseExpiryRedispatch with
-// answer affinity on: a repeat sweep whose every cell is recorded for a
-// caching worker, while another tenant's sweep holds that worker's only
-// admission slot. Its one dispatch waits in the admission queue past its
-// lease; from the lapse on, its idle peer must steal every cell the stalled
-// worker was to answer instead of leaving them queued behind it.
-func TestLeaseExpiryFreesStalledHome(t *testing.T) {
-	want := singleNodeReference(t, fleetSweepBody)
-	const tenantBody = `{"org":"cameo","benchmarks":["sphinx3"],"sweep":"seed","values":[1]}`
+// stalledHome is a two-worker fleet in which the coordinator has every
+// cell of fleetSweepBody on record for the stalled worker, a caching
+// worker with one admission slot that another tenant's sweep holds until
+// release is called. Its peer counts the cells it simulates.
+type stalledHome struct {
+	co         *Coordinator
+	cts        *httptest.Server
+	stalled    *server.Server
+	peerRuns   atomic.Int64
+	cells      int
+	release    func()
+	tenantDone chan struct{}
+}
 
+// newStalledHome builds the fleet and returns once the tenant holds the
+// stalled worker's slot. maxQueue is the stalled worker's admission queue:
+// 0 sheds the coordinator's dispatches there, 1 queues one of them.
+func newStalledHome(t *testing.T, maxQueue int) *stalledHome {
+	t.Helper()
+	const tenantBody = `{"org":"cameo","benchmarks":["sphinx3"],"sweep":"seed","values":[1]}`
+	h := &stalledHome{tenantDone: make(chan struct{})}
 	tenantIn, release := make(chan struct{}), make(chan struct{})
 	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	h.release = func() { releaseOnce.Do(func() { close(release) }) }
 	stalledExec := func(ctx context.Context, j runner.Job) system.Result {
 		if j.Specs[0].Name == "sphinx3" {
 			close(tenantIn)
@@ -185,18 +159,18 @@ func TestLeaseExpiryFreesStalledHome(t *testing.T) {
 		}
 		return coordFakeExecute(ctx, j)
 	}
-	var peerRuns atomic.Int64
 	peerExec := func(ctx context.Context, j runner.Job) system.Result {
-		peerRuns.Add(1)
+		h.peerRuns.Add(1)
 		return coordFakeExecute(ctx, j)
 	}
-	_, stalled := newFleetWorker(t, server.Options{Execute: stalledExec, MaxInflight: 1, Jobs: 1, CacheDir: t.TempDir()})
+	var stalled *httptest.Server
+	h.stalled, stalled = newFleetWorker(t, server.Options{Execute: stalledExec, MaxInflight: 1, MaxQueue: maxQueue, Jobs: 1, CacheDir: t.TempDir()})
 	_, peer := newFleetWorker(t, server.Options{Execute: peerExec, CacheDir: t.TempDir()})
-	co, cts := newTestCoordinator(t, CoordinatorOptions{
+	h.co, h.cts = newTestCoordinator(t, CoordinatorOptions{
 		Workers:  []string{stalled.URL, peer.URL},
 		LeaseTTL: 100 * time.Millisecond,
 	})
-	t.Cleanup(unblock) // first of the cleanups: a drain waits for the tenant
+	t.Cleanup(h.release) // first of the cleanups: a drain waits for the tenant
 
 	// The stalled worker answers the sweep once, and the coordinator has
 	// it on record as the home of every cell.
@@ -212,43 +186,67 @@ func TestLeaseExpiryFreesStalledHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range grid.Jobs {
-		co.answers.Put(j.Hash(), stalled.URL)
+		h.co.answers.Put(j.Hash(), stalled.URL)
 	}
+	h.cells = len(grid.Jobs)
 
-	tenantDone := make(chan struct{})
 	go func() {
-		defer close(tenantDone)
+		defer close(h.tenantDone)
 		if resp, err := http.Post(stalled.URL+"/sweep", "application/json", strings.NewReader(tenantBody)); err == nil {
 			resp.Body.Close()
 		}
 	}()
 	<-tenantIn
+	return h
+}
 
-	type reply struct {
-		status int
-		body   []byte
-	}
-	sweepDone := make(chan reply, 1)
+type sweepReply struct {
+	status int
+	body   []byte
+}
+
+// postAsync posts a sweep and delivers its reply on the returned channel.
+func postAsync(url, body string) <-chan sweepReply {
+	done := make(chan sweepReply, 1)
 	go func() {
-		resp, err := http.Post(cts.URL+"/sweep", "application/json", strings.NewReader(fleetSweepBody))
+		resp, err := http.Post(url+"/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
-			sweepDone <- reply{}
+			done <- sweepReply{}
 			return
 		}
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		sweepDone <- reply{resp.StatusCode, b}
+		done <- sweepReply{resp.StatusCode, b}
 	}()
+	return done
+}
+
+// waitPeerRanAll waits until the peer has simulated every cell.
+func (h *stalledHome) waitPeerRanAll(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for peerRuns.Load() < int64(len(grid.Jobs)) {
+	for h.peerRuns.Load() < int64(h.cells) {
 		if time.Now().After(deadline) {
-			unblock()
-			t.Fatalf("peer simulated %d of %d cells in 5s: the stalled home kept its queue after its lease lapsed", peerRuns.Load(), len(grid.Jobs))
+			h.release()
+			t.Fatalf("peer simulated %d of %d cells in 5s: the stalled home kept its queue after its lease lapsed", h.peerRuns.Load(), h.cells)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	unblock()
-	<-tenantDone
+}
+
+// TestLeaseExpiryFreesStalledHome is TestLeaseExpiryRedispatch with
+// answer affinity on: a repeat sweep whose every cell is recorded for a
+// caching worker, while another tenant's sweep holds that worker's only
+// admission slot. Its dispatches are shed past their lease; from the lapse
+// on, its idle peer must steal every cell the stalled worker was to answer
+// instead of leaving them queued behind it.
+func TestLeaseExpiryFreesStalledHome(t *testing.T) {
+	want := singleNodeReference(t, fleetSweepBody)
+	h := newStalledHome(t, 0)
+	sweepDone := postAsync(h.cts.URL, fleetSweepBody)
+	h.waitPeerRanAll(t)
+	h.release()
+	<-h.tenantDone
 	got := <-sweepDone
 	if got.status != http.StatusOK {
 		t.Fatalf("repeat sweep: status %d: %s", got.status, got.body)
@@ -256,13 +254,49 @@ func TestLeaseExpiryFreesStalledHome(t *testing.T) {
 	if !bytes.Equal(got.body, want) {
 		t.Errorf("repeat sweep differs from single-node:\nfleet:  %s\nsingle: %s", got.body, want)
 	}
-	if expired := counterValue(t, co.Metrics(), "fleet/leases_expired"); expired == 0 {
+	if expired := counterValue(t, h.co.Metrics(), "fleet/leases_expired"); expired == 0 {
 		t.Error("leases_expired = 0 — the stalled worker's grant never lapsed")
 	}
 }
 
+// TestResolvedSweepCancelsStragglers is TestLeaseExpiryFreesStalledHome
+// with the tenant never letting go: once the peer has simulated every
+// cell, the stalled worker's one dispatch still waits in its admission
+// queue for a slot that does not free up. The sweep has resolved, so it
+// must answer at once with single-node bytes, cancel that dispatch (the
+// worker counts a client gone while queued), and record no failure and
+// no suspicion for it.
+func TestResolvedSweepCancelsStragglers(t *testing.T) {
+	want := singleNodeReference(t, fleetSweepBody)
+	h := newStalledHome(t, 1)
+	sweepDone := postAsync(h.cts.URL, fleetSweepBody)
+	h.waitPeerRanAll(t)
+	var got sweepReply
+	select {
+	case got = <-sweepDone:
+	case <-time.After(time.Second):
+		h.release()
+		t.Fatal("resolved sweep still waiting after 1s for the stalled worker's dispatch")
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", got.status, got.body)
+	}
+	if !bytes.Equal(got.body, want) {
+		t.Errorf("sweep differs from single-node:\nfleet:  %s\nsingle: %s", got.body, want)
+	}
+	waitFor(t, 2*time.Second, "the stalled worker to drop the cancelled dispatch", func() bool {
+		return counterOrZero(h.stalled.Metrics(), "server/cancelled") >= 1
+	})
+	snap := h.co.Metrics()
+	for _, name := range []string{"fleet/cells_failed", "fleet/suspects", "fleet/worker_deaths"} {
+		if got := counterOrZero(snap, name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+}
+
 // TestLeaseTableConcurrent hammers the table from racing grant/expire/
-// snapshot goroutines — run with -race.
+// release goroutines — run with -race.
 func TestLeaseTableConcurrent(t *testing.T) {
 	lt := newLeaseTable(time.Millisecond)
 	var wg sync.WaitGroup
@@ -284,8 +318,7 @@ func TestLeaseTableConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
-				lt.snapshot()
-				lt.holder("h")
+				lt.release("h")
 			}
 		}()
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cameo/internal/metrics"
-	"cameo/internal/runner"
 )
 
 // MemberState is a worker's position in the failure-detection lifecycle.
@@ -73,11 +72,10 @@ type member struct {
 }
 
 // membership is the coordinator's failure detector and roster: the
-// three-state lifecycle per worker, heartbeat-miss accounting with
-// jittered probe backoff, and the monotonic join/leave event log the
-// manifest records. All methods are safe for concurrent use; none calls
-// out while holding the lock, so callers apply transitions' side effects
-// themselves.
+// three-state lifecycle per worker and heartbeat-miss accounting with
+// jittered probe backoff. All methods are safe for concurrent use; none
+// calls out while holding the lock, so callers apply transitions' side
+// effects themselves.
 type membership struct {
 	suspectMisses int
 	deadMisses    int
@@ -85,8 +83,6 @@ type membership struct {
 
 	mu      sync.Mutex
 	members map[string]*member
-	seq     uint64
-	events  []runner.FleetEvent
 	rng     *rand.Rand
 
 	joins       *metrics.Counter
@@ -138,15 +134,7 @@ func inc(c *metrics.Counter) {
 	}
 }
 
-// record appends a membership event with the next monotonic sequence.
-// Callers hold m.mu.
-func (m *membership) record(kind, worker string) {
-	m.seq++
-	m.events = append(m.events, runner.FleetEvent{Seq: m.seq, Kind: kind, Worker: worker})
-}
-
-// admit registers a roster worker (the -workers list at startup, or the
-// primary a standby watches) as alive. Admitting a known worker is a
+// admit registers a roster worker (the -workers list at startup) as alive. Admitting a known worker is a
 // no-op: a dead worker comes back only through a successful probe.
 func (m *membership) admit(worker string) {
 	m.mu.Lock()
@@ -155,7 +143,6 @@ func (m *membership) admit(worker string) {
 		return
 	}
 	m.members[worker] = &member{state: StateAlive}
-	m.record("join", worker)
 	inc(m.joins)
 }
 
@@ -172,7 +159,6 @@ func (m *membership) forceDead(worker string) transition {
 	mb.misses = m.deadMisses
 	mb.backoff = 4 * m.interval
 	mb.nextProbe = time.Now().Add(m.jittered(mb.backoff))
-	m.record("leave", worker)
 	return transDied
 }
 
@@ -218,7 +204,6 @@ func (m *membership) probeResult(worker string, ok bool) transition {
 			mb.misses = 0
 			mb.backoff = 0
 			inc(m.falseDeaths)
-			m.record("rejoin", worker)
 			inc(m.joins)
 			return transRevived
 		default:
@@ -243,7 +228,6 @@ func (m *membership) probeResult(worker string, ok bool) transition {
 			mb.state = StateDead
 			mb.backoff = 4 * m.interval
 			mb.nextProbe = time.Now().Add(m.jittered(mb.backoff))
-			m.record("leave", worker)
 			return transDied
 		}
 		// Exponential probe backoff while suspicion deepens: each miss
@@ -324,49 +308,4 @@ func (m *membership) byState(s MemberState) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// eventLog returns a copy of the membership history.
-func (m *membership) eventLog() []runner.FleetEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]runner.FleetEvent(nil), m.events...)
-}
-
-// adoptPrior merges a resumed manifest's fleet section: the prior event
-// log is replayed first, events already recorded locally (the initial
-// flag-listed joins) are re-sequenced to continue past the highest prior
-// seq — so the merged history stays strictly monotonic — and workers the
-// prior run declared dead start dead here too; they re-admit only
-// through a successful probe.
-func (m *membership) adoptPrior(fs *runner.FleetState) {
-	if fs == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var maxPrior uint64
-	for _, ev := range fs.Events {
-		if ev.Seq > maxPrior {
-			maxPrior = ev.Seq
-		}
-	}
-	rebased := make([]runner.FleetEvent, len(m.events))
-	for i, ev := range m.events {
-		ev.Seq = maxPrior + uint64(i) + 1
-		rebased[i] = ev
-	}
-	m.seq = maxPrior + uint64(len(m.events))
-	m.events = append(append([]runner.FleetEvent(nil), fs.Events...), rebased...)
-	for _, w := range fs.Dead {
-		mb, ok := m.members[w]
-		if !ok {
-			mb = &member{}
-			m.members[w] = mb
-		}
-		mb.state = StateDead
-		mb.misses = m.deadMisses
-		mb.backoff = 4 * m.interval
-		mb.nextProbe = time.Now().Add(m.jittered(mb.backoff))
-	}
 }

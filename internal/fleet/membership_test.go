@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"cameo/internal/runner"
+	"cameo/internal/metrics"
 )
 
 // TestMembershipLifecycle walks one worker through the full detector
@@ -68,10 +68,11 @@ func TestMembershipLifecycle(t *testing.T) {
 }
 
 // TestMembershipRejoin: admitting a dead worker again leaves it dead — only
-// a successful probe re-admits it, as a fresh member — and the event log
-// records join → leave → rejoin in monotonic sequence order.
+// a successful probe re-admits it, as a fresh member, which counts as a
+// join and a false death.
 func TestMembershipRejoin(t *testing.T) {
-	m := newMembership(1, 2, time.Second, 1, nil)
+	reg := metrics.NewRegistry()
+	m := newMembership(1, 2, time.Second, 1, reg.Scope("fleet"))
 	m.admit("http://w:1")
 	m.probeResult("http://w:1", false) // suspect (threshold 1)
 	m.probeResult("http://w:1", false) // dead (threshold 2)
@@ -85,44 +86,35 @@ func TestMembershipRejoin(t *testing.T) {
 	if tr := m.probeResult("http://w:1", true); tr != transRevived {
 		t.Fatalf("probe answer from a dead worker = %v, want transRevived", tr)
 	}
-
-	events := m.eventLog()
-	kinds := []string{}
-	var lastSeq uint64
-	for _, ev := range events {
-		if ev.Seq <= lastSeq {
-			t.Errorf("event seq %d after %d — not strictly monotonic", ev.Seq, lastSeq)
-		}
-		lastSeq = ev.Seq
-		if ev.Worker != "http://w:1" {
-			t.Errorf("event names %q", ev.Worker)
-		}
-		kinds = append(kinds, ev.Kind)
+	snap := reg.Snapshot()
+	if got := counterOrZero(snap, "fleet/joins"); got != 2 {
+		t.Errorf("joins = %d, want 2 (the admission and the revival)", got)
 	}
-	want := []string{"join", "leave", "rejoin"}
-	if len(kinds) != len(want) {
-		t.Fatalf("event kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event kinds = %v, want %v", kinds, want)
-		}
+	if got := counterOrZero(snap, "fleet/false_deaths"); got != 1 {
+		t.Errorf("false_deaths = %d, want 1", got)
 	}
 }
 
 // TestMembershipSuspectRecoverIsNotARejoin: the partition-drill
-// invariant — a suspect that answers again produces no membership event
-// at all (no leave, no rejoin), so a blip shorter than the suspicion
-// window leaves the manifest history untouched.
+// invariant — a suspect that answers again is neither a death nor a
+// re-join, so a blip shorter than the suspicion window moves no cell.
 func TestMembershipSuspectRecoverIsNotARejoin(t *testing.T) {
-	m := newMembership(2, 6, time.Second, 1, nil)
+	reg := metrics.NewRegistry()
+	m := newMembership(2, 6, time.Second, 1, reg.Scope("fleet"))
 	m.admit("http://w:1")
-	before := len(m.eventLog())
 	m.probeResult("http://w:1", false)
-	m.probeResult("http://w:1", false) // suspect
-	m.probeResult("http://w:1", true)  // recovered
-	if got := len(m.eventLog()); got != before {
-		t.Errorf("suspect→recover added %d events, want 0", got-before)
+	if tr := m.probeResult("http://w:1", false); tr != transSuspected {
+		t.Fatalf("second miss = %v, want transSuspected", tr)
+	}
+	if tr := m.probeResult("http://w:1", true); tr != transRecovered {
+		t.Fatalf("answer from a suspect = %v, want transRecovered", tr)
+	}
+	snap := reg.Snapshot()
+	if got := counterOrZero(snap, "fleet/joins"); got != 1 {
+		t.Errorf("suspect→recover moved joins to %d, want 1 (the admission only)", got)
+	}
+	if got := counterOrZero(snap, "fleet/false_deaths"); got != 0 {
+		t.Errorf("false_deaths = %d, want 0", got)
 	}
 }
 
@@ -142,40 +134,6 @@ func TestMembershipDue(t *testing.T) {
 	}
 	if got := m.due(now.Add(3 * time.Second)); len(got) != 2 {
 		t.Fatalf("due after backoff = %v, want both", got)
-	}
-}
-
-// TestMembershipAdoptPrior: resuming from a manifest continues the event
-// sequence past the recorded history and keeps prior deaths dead.
-func TestMembershipAdoptPrior(t *testing.T) {
-	prior := newMembership(1, 2, time.Second, 1, nil)
-	prior.admit("http://a:1")
-	prior.admit("http://b:1")
-	prior.probeResult("http://b:1", false)
-	prior.probeResult("http://b:1", false) // b dead: join join leave
-
-	next := newMembership(1, 2, time.Second, 1, nil)
-	next.admit("http://a:1")
-	next.adoptPrior(&runner.FleetState{
-		Events: prior.eventLog(),
-		Dead:   prior.byState(StateDead),
-	})
-	if st := next.state("http://b:1"); st != StateDead {
-		t.Fatalf("adopted dead worker state = %v, want dead", st)
-	}
-	events := next.eventLog()
-	if len(events) != 4 {
-		t.Fatalf("adopted event log has %d events, want 4 (3 prior + 1 local)", len(events))
-	}
-	// Local history re-sequences after the prior run's maximum.
-	if events[3].Seq <= events[2].Seq {
-		t.Errorf("post-adopt seq %d does not continue past prior max %d", events[3].Seq, events[2].Seq)
-	}
-	// New events keep climbing from there.
-	next.admit("http://c:1")
-	events = next.eventLog()
-	if last := events[len(events)-1]; last.Seq <= events[len(events)-2].Seq {
-		t.Errorf("new event seq %d not past %d", last.Seq, events[len(events)-2].Seq)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -143,31 +142,6 @@ func (t *PeerTier) fetch(peer, hash string) ([]byte, error) {
 func (t *PeerTier) Store(hash string, res system.Result) {
 	t.local.Store(hash, res)
 	t.stores.Inc()
-}
-
-// Push PUTs a locally-held envelope to a peer — the proactive half of the
-// protocol, used to seed a peer or repair one that lost an entry. The
-// receiving side re-verifies before persisting.
-func (t *PeerTier) Push(peer, hash string) error {
-	data, ok := t.local.LoadRaw(hash)
-	if !ok {
-		return fmt.Errorf("fleet: no local entry %.12s to push", hash)
-	}
-	req, err := http.NewRequest(http.MethodPut, peer+"/cache/"+hash, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("fleet: peer %s rejected push of %.12s: %d %s", peer, hash, resp.StatusCode, body)
-	}
-	return nil
 }
 
 // Metrics returns the tier's counters (local_hits, peer_hits, misses,

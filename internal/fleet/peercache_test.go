@@ -224,47 +224,6 @@ func TestPeerTierStoreIsLocal(t *testing.T) {
 	}
 }
 
-// TestPeerTierPushRoundTrip: Push PUTs a verified envelope to a peer's
-// /cache/ endpoint; the peer's StoreRaw re-verifies, so a garbled push is
-// rejected with a 400 and Push reports it.
-func TestPeerTierPushRoundTrip(t *testing.T) {
-	receiver := openDisk(t)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPut {
-			http.Error(w, "PUT only", http.StatusMethodNotAllowed)
-			return
-		}
-		data := make([]byte, 0, 4096)
-		buf := make([]byte, 4096)
-		for {
-			n, err := r.Body.Read(buf)
-			data = append(data, buf[:n]...)
-			if err != nil {
-				break
-			}
-		}
-		if err := receiver.StoreRaw(testHash, data); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(srv.Close)
-
-	local := openDisk(t)
-	local.Store(testHash, testResult())
-	tier := NewPeerTier(local, nil, time.Second)
-	if err := tier.Push(srv.URL, testHash); err != nil {
-		t.Fatalf("Push: %v", err)
-	}
-	if _, ok := receiver.Load(testHash); !ok {
-		t.Fatalf("pushed entry not in receiver cache")
-	}
-	if err := tier.Push(srv.URL, "0000000000000000000000000000000000000000000000000000000000000000"); err == nil {
-		t.Fatalf("Push of an absent entry must fail")
-	}
-}
-
 // TestPeerTierConcurrentSetPeers races live peer-list updates against
 // lookups. The copy-on-write snapshot means readers see some complete peer
 // list — never a torn one — and the race detector adjudicates. Run with

@@ -25,62 +25,6 @@ type Manifest struct {
 	RunID  string   `json:"run_id"`
 	Total  int      `json:"total"`
 	Done   []string `json:"done"`
-	// Fleet, when present, is the coordinator's live sharding picture —
-	// absent entirely for single-node sweeps, so their manifests are
-	// byte-identical to the pre-fleet format (still cameo-manifest-v1; the
-	// field is additive and optional).
-	Fleet *FleetState `json:"fleet,omitempty"`
-}
-
-// FleetState extends the manifest for coordinated sweeps: which workers
-// the run was sharded across, which were lost, and which incomplete cells
-// each live worker currently owns. A coordinator restarted over this
-// manifest (same run ID) knows exactly what was outstanding; a worker in
-// Dead never gets cells again this run.
-type FleetState struct {
-	// Workers are the registered worker base URLs, sorted.
-	Workers []string `json:"workers"`
-	// Dead lists workers lost mid-run (re-sharded away), sorted.
-	Dead []string `json:"dead,omitempty"`
-	// Assignments maps a live worker to the sorted hashes of its
-	// incomplete cells. Completed cells live in Done, not here.
-	Assignments map[string][]string `json:"assignments,omitempty"`
-	// Events is the membership history in occurrence order: joins, leaves
-	// (deaths), and re-joins, each stamped with a monotonic sequence
-	// number — never wall-clock, so a resumed coordinator replays the
-	// same history bytes regardless of when the churn happened.
-	Events []FleetEvent `json:"events,omitempty"`
-	// Epoch is the coordinator generation that owns this manifest. A
-	// standby taking over bumps it and writes the claim; a coordinator
-	// that reads a higher epoch than its own from disk has been superseded
-	// and must step down (split-brain fencing). Zero means the pre-epoch
-	// format — any claimant may adopt.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Leases are the outstanding cell dispatches, sorted by hash: which
-	// worker each in-flight cell was handed to and until when that grant
-	// is exclusive. An expired lease marks its cell safely re-dispatchable;
-	// an unexpired one tells a crash-recovering coordinator the cell may
-	// still be computing and is worth waiting out.
-	Leases []CellLease `json:"leases,omitempty"`
-}
-
-// CellLease is one time-bounded dispatch grant: cell hash, holder, and the
-// absolute expiry. This is the one place the manifest records wall-clock
-// time — a lease is meaningless without it — and it is deliberately kept
-// out of Events so the membership history stays byte-reproducible.
-type CellLease struct {
-	Hash          string `json:"hash"`
-	Worker        string `json:"worker"`
-	ExpiresUnixMS int64  `json:"expires_unix_ms"`
-}
-
-// FleetEvent is one membership change. Seq is a coordinator-wide monotonic
-// counter (1, 2, 3, …); a resumed coordinator continues from the highest
-// sequence in the manifest, so event identity is stable across restarts.
-type FleetEvent struct {
-	Seq    uint64 `json:"seq"`
-	Kind   string `json:"kind"` // "join", "leave", or "rejoin"
-	Worker string `json:"worker"`
 }
 
 // uniqueJobHashes returns the sorted, deduplicated cell hashes of a job set.
@@ -116,11 +60,10 @@ func RunID(jobs []Job) string {
 // for seconds; one small atomic file write is noise).
 type Checkpoint struct {
 	mu    sync.Mutex
-	path  string
+	dir   string
 	runID string
 	total int
 	done  map[string]bool
-	fleet *FleetState
 
 	resumed int // cells already done when the checkpoint was opened
 }
@@ -143,34 +86,26 @@ func manifestPath(dir string) string {
 func OpenCheckpoint(dir string, jobs []Job, resume bool) (*Checkpoint, error) {
 	runID := RunID(jobs)
 	cp := &Checkpoint{
-		path:  manifestPath(dir),
+		dir:   dir,
 		runID: runID,
 		total: len(uniqueJobHashes(jobs)),
 		done:  map[string]bool{},
 	}
 	if resume {
-		data, err := os.ReadFile(cp.path)
+		m, err := ReadManifest(dir)
 		switch {
 		case err == nil:
-			var m Manifest
-			if err := json.Unmarshal(data, &m); err != nil {
-				return nil, fmt.Errorf("runner: manifest %s is unreadable: %w", cp.path, err)
-			}
-			if m.Schema != ManifestSchema {
-				return nil, fmt.Errorf("runner: manifest %s has schema %q, want %q", cp.path, m.Schema, ManifestSchema)
-			}
 			if m.RunID != runID {
-				return nil, fmt.Errorf("runner: manifest %s belongs to run %.16s, this sweep is run %.16s — the job set changed; drop -resume or use a fresh -cachedir", cp.path, m.RunID, runID)
+				return nil, fmt.Errorf("runner: manifest %s belongs to run %.16s, this sweep is run %.16s — the job set changed; drop -resume or use a fresh -cachedir", cp.Path(), m.RunID, runID)
 			}
 			for _, h := range m.Done {
 				cp.done[h] = true
 			}
-			cp.fleet = m.Fleet
 			cp.resumed = len(cp.done)
 		case os.IsNotExist(err):
 			// Nothing to resume: behave as a fresh run.
 		default:
-			return nil, fmt.Errorf("runner: reading manifest: %w", err)
+			return nil, err
 		}
 	}
 	if err := cp.flushLocked(); err != nil {
@@ -192,7 +127,7 @@ func (cp *Checkpoint) Resumed() int {
 func (cp *Checkpoint) RunID() string { return cp.runID }
 
 // Path returns the manifest file location.
-func (cp *Checkpoint) Path() string { return cp.path }
+func (cp *Checkpoint) Path() string { return manifestPath(cp.dir) }
 
 // MarkDone records one completed cell and flushes the manifest. Nil-safe
 // and idempotent.
@@ -209,41 +144,6 @@ func (cp *Checkpoint) MarkDone(hash string) {
 	cp.flushLocked() // best-effort: a failed flush costs re-runs, not correctness
 }
 
-// Done reports whether a cell hash is already recorded as completed.
-// Nil-safe.
-func (cp *Checkpoint) Done(hash string) bool {
-	if cp == nil {
-		return false
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.done[hash]
-}
-
-// SetFleet records (and flushes) the coordinator's sharding state into the
-// manifest. Pass a normalized FleetState: the checkpoint sorts nothing
-// itself. Nil-safe; a nil state removes the fleet section.
-func (cp *Checkpoint) SetFleet(fs *FleetState) {
-	if cp == nil {
-		return
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.fleet = fs
-	cp.flushLocked() // best-effort, like MarkDone
-}
-
-// Fleet returns the fleet state loaded from a resumed manifest (or set via
-// SetFleet), nil for single-node runs. Nil-safe.
-func (cp *Checkpoint) Fleet() *FleetState {
-	if cp == nil {
-		return nil
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.fleet
-}
-
 // DoneCount returns how many cells the checkpoint has recorded.
 func (cp *Checkpoint) DoneCount() int {
 	if cp == nil {
@@ -254,41 +154,24 @@ func (cp *Checkpoint) DoneCount() int {
 	return len(cp.done)
 }
 
-// flushLocked atomically rewrites the manifest (tmp + rename; the manifest
-// is advisory, so no fsync — a torn manifest after a power cut merely costs
-// re-computation of cached cells).
+// flushLocked rewrites the manifest with the sorted done set.
 func (cp *Checkpoint) flushLocked() error {
 	hashes := make([]string, 0, len(cp.done))
 	for h := range cp.done {
 		hashes = append(hashes, h)
 	}
 	sort.Strings(hashes)
-	data, err := json.MarshalIndent(Manifest{
+	return WriteManifest(cp.dir, &Manifest{
 		Schema: ManifestSchema,
 		RunID:  cp.runID,
 		Total:  cp.total,
 		Done:   hashes,
-		Fleet:  cp.fleet,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := cp.path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("runner: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, cp.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runner: publishing manifest: %w", err)
-	}
-	return nil
+	})
 }
 
-// ReadManifest loads and validates the manifest under dir without opening a
-// checkpoint — how a standby coordinator tails the primary's progress and
-// how an active coordinator checks whether it has been superseded (a higher
-// fleet epoch on disk than its own). Returns os.ErrNotExist-wrapping errors
-// when no manifest is present.
+// ReadManifest loads and validates the manifest under dir: it must decode
+// and carry ManifestSchema. Returns os.IsNotExist errors when no manifest
+// is present.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
@@ -304,9 +187,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest atomically rewrites the manifest under dir (tmp + rename,
-// like the checkpoint's own flush). Used by a standby coordinator to claim
-// a higher epoch on the interrupted run's manifest before taking over.
+// WriteManifest atomically rewrites the manifest under dir (tmp + rename;
+// the manifest is advisory, so no fsync — a torn manifest after a power
+// cut merely costs re-computation of cached cells).
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -333,7 +216,7 @@ func (cp *Checkpoint) Finish() error {
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	err := os.Remove(cp.path)
+	err := os.Remove(cp.Path())
 	if err != nil && os.IsNotExist(err) {
 		return nil
 	}

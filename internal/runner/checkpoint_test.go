@@ -113,50 +113,10 @@ func TestRunnerRecordsCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointFleetEventsRoundTrip: the manifest's fleet section
-// carries the membership event log — monotonic sequence numbers, never
-// wall-clock — and a resumed checkpoint hands it back verbatim.
-func TestCheckpointFleetEventsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	jobs := testJobs(3)
-	cp, err := OpenCheckpoint(dir, jobs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := []FleetEvent{
-		{Seq: 1, Kind: "join", Worker: "http://a:1"},
-		{Seq: 2, Kind: "join", Worker: "http://b:1"},
-		{Seq: 3, Kind: "leave", Worker: "http://b:1"},
-		{Seq: 4, Kind: "rejoin", Worker: "http://b:1"},
-	}
-	cp.SetFleet(&FleetState{
-		Workers: []string{"http://a:1", "http://b:1"},
-		Events:  events,
-	})
-	cp.MarkDone(jobs[0].Hash()) // flushes the manifest
-
-	cp2, err := OpenCheckpoint(dir, jobs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := cp2.Fleet()
-	if fs == nil {
-		t.Fatal("resumed checkpoint lost the fleet section")
-	}
-	if len(fs.Events) != len(events) {
-		t.Fatalf("resumed %d events, want %d", len(fs.Events), len(events))
-	}
-	for i, ev := range fs.Events {
-		if ev != events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, ev, events[i])
-		}
-	}
-}
-
-// TestCheckpointSingleNodeManifestUnchanged: a manifest written without
-// any fleet involvement contains no fleet key at all — single-node
-// checkpoint bytes are identical to the pre-fleet (and pre-membership)
-// format, so old and new binaries interoperate on the same cachedir.
+// TestCheckpointSingleNodeManifestUnchanged pins the cameo-manifest-v1
+// bytes a checkpoint writes: four keys in order, two-space indent, a
+// trailing newline and nothing else, so old and new binaries interoperate
+// on the same cachedir.
 func TestCheckpointSingleNodeManifestUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	jobs := testJobs(2)
@@ -169,56 +129,22 @@ func TestCheckpointSingleNodeManifestUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "fleet") || strings.Contains(string(data), "events") {
-		t.Errorf("single-node manifest mentions fleet state:\n%s", data)
+	want := "{\n" +
+		"  \"schema\": \"cameo-manifest-v1\",\n" +
+		"  \"run_id\": \"" + RunID(jobs) + "\",\n" +
+		"  \"total\": 2,\n" +
+		"  \"done\": [\n" +
+		"    \"" + jobs[0].Hash() + "\"\n" +
+		"  ]\n" +
+		"}\n"
+	if string(data) != want {
+		t.Errorf("single-node manifest bytes changed:\n%s\nwant:\n%s", data, want)
 	}
 }
 
-// TestCheckpointEpochLeasesRoundTrip: the coordinator-resilience fields —
-// fleet epoch and outstanding cell leases — survive a checkpoint
-// write/reopen cycle intact, because a standby's takeover decisions are
-// made entirely from what this round-trip preserves.
-func TestCheckpointEpochLeasesRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	jobs := testJobs(3)
-	cp, err := OpenCheckpoint(dir, jobs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leases := []CellLease{
-		{Hash: jobs[0].Hash(), Worker: "http://a:1", ExpiresUnixMS: 1_700_000_000_123},
-		{Hash: jobs[1].Hash(), Worker: "http://b:1", ExpiresUnixMS: 1_700_000_000_456},
-	}
-	cp.SetFleet(&FleetState{
-		Workers: []string{"http://a:1", "http://b:1"},
-		Epoch:   3,
-		Leases:  leases,
-	})
-
-	cp2, err := OpenCheckpoint(dir, jobs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := cp2.Fleet()
-	if fs == nil {
-		t.Fatal("resumed checkpoint lost the fleet section")
-	}
-	if fs.Epoch != 3 {
-		t.Errorf("resumed epoch = %d, want 3", fs.Epoch)
-	}
-	if len(fs.Leases) != len(leases) {
-		t.Fatalf("resumed %d leases, want %d", len(fs.Leases), len(leases))
-	}
-	for i, l := range fs.Leases {
-		if l != leases[i] {
-			t.Errorf("lease %d = %+v, want %+v", i, l, leases[i])
-		}
-	}
-}
-
-// TestReadWriteManifest: the standalone manifest accessors used for standby
-// tailing and epoch claiming — atomic write, validated read, and the
-// os.IsNotExist contract for the no-manifest case.
+// TestReadWriteManifest: the manifest accessors every checkpoint reads and
+// flushes through — atomic write, validated read, and the os.IsNotExist
+// contract for the no-manifest case.
 func TestReadWriteManifest(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := ReadManifest(dir); !os.IsNotExist(err) {
@@ -230,7 +156,6 @@ func TestReadWriteManifest(t *testing.T) {
 		RunID:  strings.Repeat("ab", 32),
 		Total:  4,
 		Done:   []string{"h1", "h2"},
-		Fleet:  &FleetState{Workers: []string{"http://a:1"}, Epoch: 9},
 	}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
@@ -239,8 +164,7 @@ func TestReadWriteManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RunID != m.RunID || got.Total != 4 || len(got.Done) != 2 ||
-		got.Fleet == nil || got.Fleet.Epoch != 9 {
+	if got.RunID != m.RunID || got.Total != 4 || len(got.Done) != 2 {
 		t.Fatalf("ReadManifest round-trip = %+v, want %+v", got, m)
 	}
 

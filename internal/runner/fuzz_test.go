@@ -169,19 +169,6 @@ func FuzzReadManifest(f *testing.F) {
 		RunID:  RunID(jobs),
 		Total:  len(jobs),
 		Done:   []string{jobs[0].Hash(), jobs[2].Hash()},
-		Fleet: &FleetState{
-			Workers:     []string{"http://127.0.0.1:7071", "http://127.0.0.1:7072", "http://127.0.0.1:7073"},
-			Dead:        []string{"http://127.0.0.1:7073"},
-			Assignments: map[string][]string{"http://127.0.0.1:7071": {jobs[1].Hash()}, "http://127.0.0.1:7072": {jobs[3].Hash()}},
-			Events: []FleetEvent{
-				{Seq: 1, Kind: "join", Worker: "http://127.0.0.1:7071"},
-				{Seq: 2, Kind: "join", Worker: "http://127.0.0.1:7072"},
-				{Seq: 3, Kind: "join", Worker: "http://127.0.0.1:7073"},
-				{Seq: 4, Kind: "leave", Worker: "http://127.0.0.1:7073"},
-			},
-			Epoch:  3,
-			Leases: []CellLease{{Hash: jobs[1].Hash(), Worker: "http://127.0.0.1:7071", ExpiresUnixMS: 1_760_000_000_000}},
-		},
 	}
 	dir := f.TempDir()
 	if err := WriteManifest(dir, real); err != nil {
@@ -213,32 +200,8 @@ func FuzzReadManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rewritten manifest rejected: %v", err)
 		}
-		if !reflect.DeepEqual(omitEmpty(m), omitEmpty(again)) {
+		if !reflect.DeepEqual(m, again) {
 			t.Fatalf("round trip changed the manifest:\n%+v\nvs\n%+v", m, again)
 		}
 	})
-}
-
-// omitEmpty clears the optional fleet collections that are empty: JSON
-// omits them, so an empty one reads back as nil.
-func omitEmpty(m *Manifest) *Manifest {
-	if m.Fleet == nil {
-		return m
-	}
-	fs := *m.Fleet
-	if len(fs.Dead) == 0 {
-		fs.Dead = nil
-	}
-	if len(fs.Assignments) == 0 {
-		fs.Assignments = nil
-	}
-	if len(fs.Events) == 0 {
-		fs.Events = nil
-	}
-	if len(fs.Leases) == 0 {
-		fs.Leases = nil
-	}
-	out := *m
-	out.Fleet = &fs
-	return &out
 }

@@ -121,8 +121,6 @@ type Server struct {
 	cellsFromCache *metrics.Counter
 	peerGets       *metrics.Counter
 	peerGetMisses  *metrics.Counter
-	peerPuts       *metrics.Counter
-	peerPutRejects *metrics.Counter
 }
 
 // New builds a Server, opening the disk cache when CacheDir is set.
@@ -160,8 +158,6 @@ func New(opts Options) (*Server, error) {
 	s.cellsFromCache = sc.Counter("cells_from_cache")
 	s.peerGets = sc.Counter("peer_cache_gets")
 	s.peerGetMisses = sc.Counter("peer_cache_get_misses")
-	s.peerPuts = sc.Counter("peer_cache_puts")
-	s.peerPutRejects = sc.Counter("peer_cache_put_rejects")
 	sc.GaugeFunc("inflight", func() float64 { return float64(len(s.slots)) })
 	sc.GaugeFunc("queued", func() float64 {
 		if q := s.pending.Load() - int64(len(s.slots)); q > 0 {
@@ -258,10 +254,9 @@ func (s *Server) ReadyState() sweepapi.ReadyState {
 }
 
 // handleCache is the fleet cache-peer protocol: GET serves the local
-// checksummed cameo-cache-entry-v1 envelope for a cell hash, PUT accepts
-// one (verified before it touches disk). Peers verify on read too, so a
-// corrupt entry can never cross the fleet: it is quarantined at whichever
-// side first notices.
+// checksummed cameo-cache-entry-v1 envelope for a cell hash. The fetching
+// peer verifies it before adopting it, so a corrupt entry can never cross
+// the fleet: it is quarantined at whichever side first notices.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	hash := strings.TrimPrefix(r.URL.Path, "/cache/")
 	if !runner.ValidHash(hash) {
@@ -272,33 +267,19 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no cache configured")
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		s.peerGets.Inc()
-		data, ok := s.cache.LoadRaw(hash)
-		if !ok {
-			s.peerGetMisses.Inc()
-			writeError(w, http.StatusNotFound, "no entry for "+hash)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	case http.MethodPut:
-		data, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading entry: "+err.Error())
-			return
-		}
-		if err := s.cache.StoreRaw(hash, data); err != nil {
-			s.peerPutRejects.Inc()
-			writeError(w, http.StatusBadRequest, "entry rejected: "+err.Error())
-			return
-		}
-		s.peerPuts.Inc()
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or PUT only")
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		return
 	}
+	s.peerGets.Inc()
+	data, ok := s.cache.LoadRaw(hash)
+	if !ok {
+		s.peerGetMisses.Inc()
+		writeError(w, http.StatusNotFound, "no entry for "+hash)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
 }
 
 // handleMetrics emits the service metrics as one deterministic JSON

@@ -485,9 +485,9 @@ func TestReadyzBody(t *testing.T) {
 }
 
 // TestCachePeerEndpoints exercises the fleet cache-peer protocol served at
-// /cache/<hash>: round-trip GET/PUT of the checksummed envelope, 404 for
-// absent entries, 400 for malformed hashes and corrupt envelopes, with the
-// peer counters moving accordingly.
+// /cache/<hash>: GET of the checksummed envelope, 404 for absent entries,
+// 400 for malformed hashes and 405 for any write, with the peer counters
+// moving accordingly.
 func TestCachePeerEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{CacheDir: dir})
@@ -554,10 +554,33 @@ func TestCachePeerEndpoints(t *testing.T) {
 		}
 	}
 
-	// PUT of the valid envelope into a second server persists it.
-	dir2 := t.TempDir()
-	s2, ts2 := newTestServer(t, Options{CacheDir: dir2})
-	preq, err := http.NewRequest(http.MethodPut, ts2.URL+"/cache/"+hash, bytes.NewReader(envelope))
+	// The endpoint is read-only: a PUT, here of milc seed 7's valid
+	// envelope under gcc seed 9's hash, answers 405 and stores nothing, so
+	// gcc seed 9 still answers with its own result.
+	body7 := `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[7]}`
+	body9 := `{"org":"cameo","benchmarks":["gcc"],"sweep":"seed","values":[9]}`
+	if resp, b := postSweep(t, ts.URL, body7); resp.StatusCode != http.StatusOK {
+		t.Fatalf("milc seed 7: %d %s", resp.StatusCode, b)
+	}
+	grid7, err := sweepapi.BuildGrid(sweepapi.Request{Org: "cameo", Benchmarks: []string{"milc"}, Sweep: "seed", Values: []uint64{7}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid9, err := sweepapi.BuildGrid(sweepapi.Request{Org: "cameo", Benchmarks: []string{"gcc"}, Sweep: "seed", Values: []uint64{9}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gresp, err = http.Get(ts.URL + "/cache/" + grid7.Jobs[0].Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope7, _ := io.ReadAll(gresp.Body)
+	gresp.Body.Close()
+	if gresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET milc seed 7 = %d", gresp.StatusCode)
+	}
+	_, ts2 := newTestServer(t, Options{CacheDir: t.TempDir()})
+	preq, err := http.NewRequest(http.MethodPut, ts2.URL+"/cache/"+grid9.Jobs[0].Hash(), bytes.NewReader(envelope7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,40 +589,12 @@ func TestCachePeerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	presp.Body.Close()
-	if presp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT valid envelope = %d, want 204", presp.StatusCode)
+	if presp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("PUT /cache/<hash> = %d, want 405", presp.StatusCode)
 	}
-	if counter(t, s2, "server/peer_cache_puts") != 1 {
-		t.Fatalf("peer_cache_puts = %d, want 1", counter(t, s2, "server/peer_cache_puts"))
-	}
-	gresp, err = http.Get(ts2.URL + "/cache/" + hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET after PUT = %d, want 200", gresp.StatusCode)
-	}
-
-	// A corrupt envelope is rejected by the checksum check and never
-	// touches disk.
-	corrupt := make([]byte, len(envelope))
-	copy(corrupt, envelope)
-	corrupt[len(corrupt)-5] ^= 0x10
-	preq, err = http.NewRequest(http.MethodPut, ts2.URL+"/cache/"+hash, bytes.NewReader(corrupt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp, err = http.DefaultClient.Do(preq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(presp.Body)
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "entry rejected") {
-		t.Fatalf("PUT corrupt envelope = %d %s, want 400 entry rejected", presp.StatusCode, body)
-	}
-	if counter(t, s2, "server/peer_cache_put_rejects") != 1 {
-		t.Fatalf("peer_cache_put_rejects = %d, want 1", counter(t, s2, "server/peer_cache_put_rejects"))
+	_, clean := postSweep(t, ts.URL, body9)
+	resp9, got := postSweep(t, ts2.URL, body9)
+	if resp9.StatusCode != http.StatusOK || !bytes.Equal(got, clean) {
+		t.Fatalf("gcc seed 9 after the PUT = %d %s, want %s", resp9.StatusCode, got, clean)
 	}
 }

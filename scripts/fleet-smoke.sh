@@ -1,12 +1,25 @@
 #!/usr/bin/env bash
-# Fleet smoke test: a coordinator sharding real sweeps across two cameod
+# Fleet smoke test: coordinators sharding real sweeps across cameod
 # workers with cross-wired peer caches. Asserts that
 #   (a) the fleet's merged report is byte-identical to a single-node run,
 #   (b) SIGKILL-ing a worker mid-sweep turns it suspect, the survivor
 #       steals its queued cells (its death comes later) and the sweep
 #       still completes byte-identically,
 #   (c) a second fleet run of the same sweep recomputes nothing — the
-#       workers' cells_executed counters do not move.
+#       workers' cells_executed counters do not move,
+#   (d) a worker SIGKILLed mid-sweep is declared dead by the failure
+#       detector and, once restarted, re-admitted by its probe; a repeat
+#       sweep then recomputes nothing,
+#   (e) a coordinator SIGKILLed mid-sweep and restarted at the same
+#       address answers the re-posted sweep byte-identically,
+#   (f) a heartbeat partition shorter than the suspicion window turns a
+#       worker suspect and back with zero deaths, false deaths and
+#       re-sharded cells,
+#   (g) of two coordinators over the same workers, SIGKILL-ing one
+#       mid-sweep and re-posting to the other gives the same bytes.
+# In (e) and (g) the workers simulate each of the sweep's 16 cells exactly
+# once across the killed sweep and the re-post: a coordinator keeps
+# nothing on disk, and the workers answer what the lost one completed.
 #
 # Run from the repository root: ./scripts/fleet-smoke.sh
 set -euo pipefail
@@ -108,10 +121,10 @@ grep -q "worker http://$w1_addr suspect" "$workdir/co.log" || {
 
 echo "fleet smoke test passed"
 
-# === Membership drills: failure detector, runtime re-join, coordinator ====
-# === resume, and a bounded heartbeat partition. ===========================
-# Fresh fleet with the suspicion-based failure detector on, so deaths come
-# from missed heartbeats rather than the legacy dispatch-failure path.
+# === Membership drills: failure detector, probe re-admission, ============
+# === coordinator loss, and a bounded heartbeat partition. =================
+# A fresh fleet whose coordinator probes every 100 ms, so the detector's
+# verdicts land within the drills.
 w3_addr=127.0.0.1:18444
 w4_addr=127.0.0.1:18445
 co2_addr=127.0.0.1:18446
@@ -126,17 +139,48 @@ wait_metric_ge() { # url name floor
   echo "metric $2 at $1 never reached $3 (last: $v)"; return 1
 }
 
+executed() { # summed cells_executed of w3 and w4
+  echo $(( $(metric "http://$w3_addr" server/cells_executed) \
+         + $(metric "http://$w4_addr" server/cells_executed) ))
+}
+
+start_coordinator() { # addr logfile
+  "$workdir/cameod" -addr "$1" -coordinator \
+    -workers "http://$w3_addr,http://$w4_addr" \
+    -heartbeat 100ms -suspect-misses 1 -dead-misses 3 2>"$2" &
+  pids+=("$!")
+  wait_healthy "http://$1" "$2"
+}
+
+post_and_kill() { # sweep coordinator-url coordinator-pid
+  curl -sS -X POST -d "$1" "$2/sweep" -o /dev/null &
+  local curlpid=$!
+  sleep 0.4
+  kill -KILL "$3" 2>/dev/null || true
+  wait "$curlpid" || true
+}
+
+# check_repost re-posts a sweep, byte-compares the answer with the
+# reference, and requires the workers to have simulated the sweep's 16
+# cells exactly once since base (taken before the killed post).
+check_repost() { # sweep reference coordinator-url out logfile base
+  curl -fsS -X POST -d "$1" "$3/sweep" -o "$4"
+  cmp "$2" "$4" || {
+    echo "re-posted sweep differs from single-node reference"; cat "$5"; exit 1; }
+  local total=$(( $(executed) - $6 ))
+  if [ "$total" -ne 16 ]; then
+    echo "killed sweep and re-post simulated $total cells, want 16"; cat "$5"; exit 1
+  fi
+}
+
 start_worker "$w3_addr" "$workdir/w3-cache" "$w4_addr" "$workdir/w3.log"
 start_worker "$w4_addr" "$workdir/w4-cache" "$w3_addr" "$workdir/w4.log"
 w4pid=${pids[-1]}
 
-"$workdir/cameod" -addr "$co2_addr" -coordinator \
-  -workers "http://$w3_addr,http://$w4_addr" -cachedir "$workdir/co2-manifest" \
-  -heartbeat 100ms -suspect-misses 1 -dead-misses 3 2>"$workdir/co2.log" &
-co2pid=$!; pids+=("$co2pid")
-wait_healthy "http://$co2_addr" "$workdir/co2.log"
+start_coordinator "$co2_addr" "$workdir/co2.log"
+co2pid=${pids[-1]}
 
-# --- (d) SIGKILL a worker mid-sweep; it re-joins at runtime. ---------------
+# --- (d) SIGKILL a worker mid-sweep; a probe re-admits its restart. --------
 d1sweep='{"org":"cameo","benchmarks":["sphinx3","milc","gcc","mcf"],"sweep":"seed","values":[11,12,13,14],"instr":2000000,"cores":4}'
 curl -fsS -X POST -d "$d1sweep" "http://$ref_addr/sweep" -o "$workdir/reference-d1.json"
 curl -sS -X POST -d "$d1sweep" "http://$co2_addr/sweep" -o "$workdir/fleet-d1.json" &
@@ -158,42 +202,33 @@ wait_metric_ge "http://$co2_addr" fleet/worker_deaths 1 || { cat "$workdir/co2.l
 pids+=("$!")
 wait_healthy "http://$w4_addr" "$workdir/w4b.log"
 for _ in $(seq 1 50); do
-  grep -qE "re-joined after death|returned from the dead" "$workdir/co2.log" && break
+  grep -q "returned from the dead" "$workdir/co2.log" && break
   sleep 0.1
 done
-grep -qE "re-joined after death|returned from the dead" "$workdir/co2.log" || {
-  echo "coordinator log has no runtime re-admission line"; cat "$workdir/co2.log"; exit 1; }
+grep -q "returned from the dead" "$workdir/co2.log" || {
+  echo "coordinator log has no re-admission line"; cat "$workdir/co2.log"; exit 1; }
 
-# Already-cached cells are not recomputed on the re-joined fleet: a repeat
-# of the same sweep moves no cells_executed counter anywhere.
-before=$(( $(metric "http://$w3_addr" server/cells_executed) \
-         + $(metric "http://$w4_addr" server/cells_executed) ))
+# Already-cached cells are not recomputed on the re-admitted fleet: a
+# repeat of the same sweep moves no cells_executed counter anywhere.
+before=$(executed)
 curl -fsS -X POST -d "$d1sweep" "http://$co2_addr/sweep" -o "$workdir/fleet-d1b.json"
 cmp "$workdir/reference-d1.json" "$workdir/fleet-d1b.json"
-after=$(( $(metric "http://$w3_addr" server/cells_executed) \
-        + $(metric "http://$w4_addr" server/cells_executed) ))
+after=$(executed)
 if [ "$after" -ne "$before" ]; then
-  echo "re-joined fleet recomputed $((after - before)) already-cached cells, want 0"; exit 1
+  echo "re-admitted fleet recomputed $((after - before)) already-cached cells, want 0"; exit 1
 fi
 
-# --- (e) SIGKILL the coordinator mid-sweep; -resume completes the sweep. ---
+# --- (e) SIGKILL the coordinator mid-sweep; re-post to its restart. -------
+# The restarted coordinator has no -cachedir and no state of the lost one:
+# its ring places every cell as the lost one's did.
 d2sweep='{"org":"cameo","benchmarks":["sphinx3","milc","gcc","mcf"],"sweep":"seed","values":[21,22,23,24],"instr":2000000,"cores":4}'
 curl -fsS -X POST -d "$d2sweep" "http://$ref_addr/sweep" -o "$workdir/reference-d2.json"
-curl -sS -X POST -d "$d2sweep" "http://$co2_addr/sweep" -o /dev/null &
-curlpid=$!
-sleep 0.4
-kill -KILL "$co2pid" 2>/dev/null || true
-wait "$curlpid" || true
-
-"$workdir/cameod" -addr "$co2_addr" -coordinator \
-  -workers "http://$w3_addr,http://$w4_addr" -cachedir "$workdir/co2-manifest" -resume \
-  -heartbeat 100ms -suspect-misses 1 -dead-misses 3 2>"$workdir/co2b.log" &
-pids+=("$!")
-wait_healthy "http://$co2_addr" "$workdir/co2b.log"
-curl -fsS -X POST -d "$d2sweep" "http://$co2_addr/sweep" -o "$workdir/fleet-d2.json"
-cmp "$workdir/reference-d2.json" "$workdir/fleet-d2.json" || {
-  echo "resumed coordinator sweep differs from single-node reference"
-  cat "$workdir/co2b.log"; exit 1; }
+base=$(executed)
+post_and_kill "$d2sweep" "http://$co2_addr" "$co2pid"
+echo "(e) cells simulated before the kill: $(( $(executed) - base )) of 16"
+start_coordinator "$co2_addr" "$workdir/co2b.log"
+check_repost "$d2sweep" "$workdir/reference-d2.json" "http://$co2_addr" \
+  "$workdir/fleet-d2.json" "$workdir/co2b.log" "$base"
 
 # --- (f) Heartbeat partition shorter than the suspicion window. ------------
 # Inject a deterministic partition that swallows the first 3 heartbeat
@@ -231,61 +266,21 @@ cmp "$workdir/reference-d1.json" "$workdir/fleet-d3.json"
 
 echo "fleet membership drills passed"
 
-# === (g) Coordinator SIGKILL mid-sweep: a standby confirms the death, ======
-# === claims the next epoch from the shared manifest, and finishes the ======
-# === sweep byte-identically with zero recompute of cached cells. ===========
+# === (g) Two coordinators over one roster: SIGKILL one mid-sweep and =====
+# === re-post the sweep to the other. ======================================
 co4_addr=127.0.0.1:18448
-sb_addr=127.0.0.1:18449
+co5_addr=127.0.0.1:18449
 
-"$workdir/cameod" -addr "$co4_addr" -coordinator \
-  -workers "http://$w3_addr,http://$w4_addr" -cachedir "$workdir/co4-manifest" \
-  -heartbeat 100ms -suspect-misses 1 -dead-misses 3 -lease-ttl 1s \
-  2>"$workdir/co4.log" &
-co4pid=$!; pids+=("$co4pid")
-wait_healthy "http://$co4_addr" "$workdir/co4.log"
-
-"$workdir/cameod" -addr "$sb_addr" -standby "http://$co4_addr" \
-  -workers "http://$w3_addr,http://$w4_addr" -cachedir "$workdir/co4-manifest" \
-  -heartbeat 100ms -suspect-misses 1 -dead-misses 3 -lease-ttl 1s \
-  2>"$workdir/sb.log" &
-pids+=("$!")
-wait_healthy "http://$sb_addr" "$workdir/sb.log"
-
-# While the primary lives, the standby refuses sweeps instead of forking.
-code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d "$d2sweep" "http://$sb_addr/sweep")
-[ "$code" = 503 ] || { echo "standby answered $code while the primary was alive, want 503"; exit 1; }
+start_coordinator "$co4_addr" "$workdir/co4.log"
+co4pid=${pids[-1]}
+start_coordinator "$co5_addr" "$workdir/co5.log"
 
 d4sweep='{"org":"cameo","benchmarks":["sphinx3","milc","gcc","mcf"],"sweep":"seed","values":[31,32,33,34],"instr":2000000,"cores":4}'
 curl -fsS -X POST -d "$d4sweep" "http://$ref_addr/sweep" -o "$workdir/reference-d4.json"
-curl -sS -X POST -d "$d4sweep" "http://$co4_addr/sweep" -o /dev/null &
-curlpid=$!
-sleep 0.4
-kill -KILL "$co4pid" 2>/dev/null || true
-wait "$curlpid" || true
+base=$(executed)
+post_and_kill "$d4sweep" "http://$co4_addr" "$co4pid"
+echo "(g) cells simulated before the kill: $(( $(executed) - base )) of 16"
+check_repost "$d4sweep" "$workdir/reference-d4.json" "http://$co5_addr" \
+  "$workdir/fleet-d4.json" "$workdir/co5.log" "$base"
 
-for _ in $(seq 1 100); do
-  grep -q "standby took over as coordinator epoch" "$workdir/sb.log" && break
-  sleep 0.1
-done
-grep -q "standby took over as coordinator epoch" "$workdir/sb.log" || {
-  echo "standby never took over after the coordinator SIGKILL"; cat "$workdir/sb.log"; exit 1; }
-
-# The promoted standby completes the interrupted sweep byte-identically.
-curl -fsS -X POST -d "$d4sweep" "http://$sb_addr/sweep" -o "$workdir/fleet-d4.json"
-cmp "$workdir/reference-d4.json" "$workdir/fleet-d4.json" || {
-  echo "post-takeover sweep differs from single-node reference"
-  cat "$workdir/sb.log"; exit 1; }
-
-# Zero recompute of cached cells: a repeat through the promoted coordinator
-# moves no cells_executed counter anywhere in the fleet.
-before=$(( $(metric "http://$w3_addr" server/cells_executed) \
-         + $(metric "http://$w4_addr" server/cells_executed) ))
-curl -fsS -X POST -d "$d4sweep" "http://$sb_addr/sweep" -o "$workdir/fleet-d4b.json"
-cmp "$workdir/reference-d4.json" "$workdir/fleet-d4b.json"
-after=$(( $(metric "http://$w3_addr" server/cells_executed) \
-        + $(metric "http://$w4_addr" server/cells_executed) ))
-if [ "$after" -ne "$before" ]; then
-  echo "post-takeover repeat recomputed $((after - before)) cells, want 0"; exit 1
-fi
-
-echo "coordinator takeover drill passed"
+echo "coordinator loss drills passed"
