@@ -20,8 +20,9 @@
 //
 // Cells fan out across -jobs workers; rows are emitted in sweep order
 // regardless of completion order, so the CSV is byte-identical for any
-// worker count. With -cachedir, already-simulated cells load from disk and
-// an interrupted sweep can continue with -resume. -job-timeout, -retries
+// worker count. With -cachedir, already-simulated cells load from disk, so
+// rerunning an interrupted sweep over the same directory simulates only the
+// cells it had not finished. -job-timeout, -retries
 // and -keep-going harden long sweeps against stuck or failing cells, and
 // -chaos injects deterministic faults to drill exactly those paths.
 package main
@@ -72,7 +73,6 @@ func run(args []string) (code int) {
 		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel an attempt that runs longer than this and reclaim its worker (0 = off)")
 		retries    = fs.Int("retries", 0, "retry transiently-failed cells (panics, timeouts) this many times")
 		keepGoing  = fs.Bool("keep-going", false, "skip failed cells in the CSV, write a failure report, exit 3")
-		resume     = fs.Bool("resume", false, "resume an interrupted sweep from its -cachedir checkpoint manifest")
 		failures   = fs.String("failures", "", "with -keep-going, also write the failure report as JSON to this path")
 		chaos      = fs.String("chaos", "", "fault-injection spec for robustness drills, e.g. 'job:panic:p=0.2;cacheload:corrupt:p=0.1'")
 		chaosSeed  = fs.Uint64("chaos-seed", 1, "seed for the -chaos fault schedule")
@@ -148,11 +148,6 @@ func run(args []string) (code int) {
 		}
 	}
 
-	if *resume && *cachedir == "" {
-		fmt.Fprintln(os.Stderr, "cameo-sweep: -resume needs -cachedir (the manifest lives in the cache directory)")
-		return 2
-	}
-
 	// Progress only when stderr is an interactive terminal and -quiet was
 	// not given: piping the CSV to a file or running under CI must not
 	// produce \r-spinner noise.
@@ -186,17 +181,6 @@ func run(args []string) (code int) {
 		defer cache.Close()
 		cache.SetFaults(plan)
 		ropts.Cache = cache
-
-		checkpoint, err := runner.OpenCheckpoint(*cachedir, allJobs, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cameo-sweep:", err)
-			return 1
-		}
-		if n := checkpoint.Resumed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "cameo-sweep: resuming run %.16s: %d cells already done\n",
-				checkpoint.RunID(), n)
-		}
-		ropts.Checkpoint = checkpoint
 	}
 	r := runner.New(ropts)
 	runErr := r.RunAll(ctx, allJobs)
@@ -249,9 +233,6 @@ func run(args []string) (code int) {
 		}
 		fmt.Fprintln(os.Stderr, "cameo-sweep:", failedCells.Report.Summary())
 		return 3
-	}
-	if err := ropts.Checkpoint.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "cameo-sweep: removing checkpoint manifest:", err)
 	}
 	return 0
 }

@@ -23,6 +23,17 @@ func TestRunErrorPathFlushesProfile(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag is a usage error. -resume is retired
+// (rerunning over the same -cachedir continues an interrupted sweep), so it
+// is unknown too.
+func TestRunBadFlag(t *testing.T) {
+	for _, flag := range []string{"-no-such-flag", "-resume"} {
+		if code := run([]string{flag}); code != 2 {
+			t.Fatalf("run(%s) returned %d, want 2", flag, code)
+		}
+	}
+}
+
 func TestRunTinySweep(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sweep.csv")
 	code := run([]string{

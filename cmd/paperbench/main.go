@@ -7,14 +7,15 @@
 //	paperbench -exp fig13               # one experiment
 //	paperbench -exp fig12 -bench milc,mcf -scale 512 -instr 200000
 //	paperbench -jobs 8 -cachedir ~/.cache/cameo   # parallel + persistent cache
-//	paperbench -cachedir /tmp/c -resume           # continue an interrupted run
+//	paperbench -cachedir /tmp/c                   # rerunning continues an interrupted run
 //	paperbench -keep-going -retries 2 -job-timeout 5m -failures failed.json
 //
 // Output is fixed-width text; each experiment prints the same rows/series
 // the paper reports (see DESIGN.md for the per-experiment index). Each
 // experiment's simulation grid fans out across -jobs workers; the output
 // is byte-identical for any worker count. With -cachedir, already-simulated
-// cells are loaded from disk instead of re-run.
+// cells are loaded from disk instead of re-run, so rerunning an interrupted
+// run over the same directory simulates only the cells it had not finished.
 package main
 
 import (
@@ -59,7 +60,6 @@ func run(args []string) (code int) {
 		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: abandon an attempt that runs longer than this (0 = off)")
 		retries    = fs.Int("retries", 0, "retry transiently-failed cells (panics, timeouts) this many times")
 		keepGoing  = fs.Bool("keep-going", false, "quarantine failed cells into a report and finish the rest (exit 3 if any failed)")
-		resume     = fs.Bool("resume", false, "resume an interrupted run from its -cachedir checkpoint manifest")
 		failures   = fs.String("failures", "", "with -keep-going, also write the failure report as JSON to this path")
 
 		telemetry = fs.String("telemetry", "", "write the per-cell metrics telemetry as JSON to this path")
@@ -88,11 +88,6 @@ func run(args []string) (code int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *resume && *cachedir == "" {
-		fmt.Fprintln(os.Stderr, "paperbench: -resume needs -cachedir (the manifest lives in the cache directory)")
-		return 2
-	}
-
 	opts := experiments.Options{
 		ScaleDiv:     *scale,
 		Cores:        *cores,
@@ -119,8 +114,6 @@ func run(args []string) (code int) {
 		opts.Cache = cache
 	}
 
-	// Which experiments run determines the sweep's cell set (and with it
-	// the checkpoint identity).
 	selected := experiments.All()
 	if *exp != "all" {
 		e, ok := experiments.ByID(*exp)
@@ -130,28 +123,6 @@ func run(args []string) (code int) {
 			return 2
 		}
 		selected = []experiments.Experiment{e}
-	}
-
-	var checkpoint *runner.Checkpoint
-	if *cachedir != "" {
-		// Plan the grid with a throwaway suite to derive the run identity,
-		// then build the real suite with the checkpoint attached.
-		planSuite, err := experiments.NewSuite(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			return 2
-		}
-		planned := experiments.PlannedJobs(planSuite, selected)
-		checkpoint, err = runner.OpenCheckpoint(*cachedir, planned, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			return 1
-		}
-		if n := checkpoint.Resumed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "paperbench: resuming run %.16s: %d cells already done\n",
-				checkpoint.RunID(), n)
-		}
-		opts.Checkpoint = checkpoint
 	}
 
 	suite, err := experiments.NewSuite(opts)
@@ -192,8 +163,8 @@ func run(args []string) (code int) {
 
 	if rep := suite.FailureReport(); rep != nil {
 		// Keep-going mode completed everything it could; report what it
-		// could not and exit non-zero so scripts notice. The checkpoint
-		// manifest stays on disk: a later -resume run retries the failures.
+		// could not and exit non-zero so scripts notice. Failures are never
+		// cached, so a rerun over the same -cachedir retries only them.
 		if *failures != "" {
 			if werr := writeFailures(*failures, rep); werr != nil {
 				fmt.Fprintln(os.Stderr, "paperbench:", werr)
@@ -203,9 +174,6 @@ func run(args []string) (code int) {
 		}
 		fmt.Fprintln(os.Stderr, "paperbench:", rep.Summary())
 		return 3
-	}
-	if err := checkpoint.Finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench: removing checkpoint manifest:", err)
 	}
 	return 0
 }

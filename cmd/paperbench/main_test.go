@@ -23,8 +23,13 @@ func TestRunErrorPathFlushesProfile(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag is a usage error. -resume is retired
+// (rerunning over the same -cachedir continues an interrupted run), so it
+// is unknown too.
 func TestRunBadFlag(t *testing.T) {
-	if code := run([]string{"-no-such-flag"}); code != 2 {
-		t.Fatalf("run returned %d, want 2", code)
+	for _, flag := range []string{"-no-such-flag", "-resume"} {
+		if code := run([]string{flag}); code != 2 {
+			t.Fatalf("run(%s) returned %d, want 2", flag, code)
+		}
 	}
 }

@@ -78,10 +78,9 @@ func IDs() []string {
 }
 
 // PlannedJobs collects the up-front simulation grid of the given
-// experiments — the cell set a checkpoint manifest identifies a run by.
-// Experiments with nil Plan (spec echoes, self-prewarming renders)
-// contribute nothing; any cells they compute at render time are still
-// cached, just not tracked in the manifest.
+// experiments, in plan order. Experiments with nil Plan (spec echoes,
+// self-prewarming renders) contribute nothing; any cells they compute at
+// render time are still cached, just not listed here.
 func PlannedJobs(s *Suite, exps []Experiment) []runner.Job {
 	plans := make([][]runner.Job, len(exps))
 	n := 0

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cameo/internal/cameo"
-	"cameo/internal/faultinject"
 	"cameo/internal/runner"
 	"cameo/internal/stats"
 	"cameo/internal/system"
@@ -48,10 +47,6 @@ type Options struct {
 	// KeepGoing renders around failed cells (experiments touching them are
 	// skipped with a note) instead of aborting the whole suite.
 	KeepGoing bool
-	// Checkpoint, when non-nil, records completed cells for -resume.
-	Checkpoint *runner.Checkpoint
-	// Faults injects deterministic chaos at the job site (tests/CLI).
-	Faults *faultinject.Plan
 }
 
 // DefaultOptions returns the suite defaults: 1/1024 scale, the paper's 32
@@ -106,8 +101,6 @@ func NewSuite(opts Options) (*Suite, error) {
 			JobTimeout: opts.JobTimeout,
 			Retries:    opts.Retries,
 			KeepGoing:  opts.KeepGoing,
-			Checkpoint: opts.Checkpoint,
-			Faults:     opts.Faults,
 		}),
 		ctx: context.Background(),
 	}, nil

@@ -238,8 +238,8 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 }
 
 // leaseReaperLoop re-dispatches cells whose leases lapsed: the holder died
-// (or stalled) without resolving them, so their queues get them back. Runs
-// only when leasing is on.
+// (or stalled) without resolving them, so an active peer's queue gets
+// them. Runs only when leasing is on.
 func (c *Coordinator) leaseReaperLoop(ctx context.Context) {
 	interval := c.opts.LeaseTTL / 4
 	if interval < 50*time.Millisecond {
@@ -375,10 +375,12 @@ type fleetCell struct {
 	spec sweepapi.CellSpec
 	key  string
 	hash string
-	// home is the worker that answered this cell before, when that worker
-	// is in the sweep and keeps results; empty otherwise. Set by Run,
-	// cleared (under the sweep mutex) when the cell is re-queued or
-	// re-sharded, or its home lets a lease lapse.
+	// home is the worker no other worker steals this cell from while it
+	// is active: the worker that answered it before, when that worker is
+	// in the sweep and keeps results, or the peer a lapsed lease moved it
+	// to; empty otherwise. Set by Run and requeueExpired, cleared (under
+	// the sweep mutex) when the cell is re-queued or re-sharded, or its
+	// home lets a lease lapse.
 	home string
 }
 
@@ -749,8 +751,9 @@ func (s *sweepRun) next(worker string) (*fleetCell, bool) {
 
 // stealLocked takes the last stealable cell of the queue with the most
 // stealable cells, or returns nil when no queue has one. A cell is not
-// stealable from an active victim that answered it before (its home): the
-// victim answers it from memory, where the thief would simulate it again.
+// stealable from an active victim that is its home: a victim that answered
+// it before answers it from memory, where the thief would simulate it
+// again, and a lapsed lease's holder must not take its cell back.
 // A paused suspect's whole queue is stealable: its backlog is exactly what
 // suspicion would otherwise stall on. Ties break by name for determinism
 // of victim choice, though placement never affects results — simulation
@@ -983,13 +986,16 @@ func (s *sweepRun) recordFailure(fc *fleetCell, cf runner.CellFailure) {
 	s.cond.Broadcast()
 }
 
-// requeueExpired puts the cells of lapsed leases back onto their ring
-// owners' queues — unless they already resolved, already wait in a queue,
-// or the sweep is over — and ends answer affinity on each holder whose
-// cell it re-queues: a worker that let a lease lapse may be hung, or its
-// admission slots held by another tenant's sweeps, so its idle peers must
-// be free to steal every cell it still has queued, answered before or not.
-// Returns how many cells it re-queued.
+// requeueExpired moves the cells of lapsed leases to an active peer of
+// each holder — unless they already resolved, already wait in a queue, or
+// the sweep is over — and ends answer affinity on each holder whose cell it
+// moves: a worker that let a lease lapse may be hung, or its admission
+// slots held by another tenant's sweeps, so its idle peers must be free to
+// steal every cell it still has queued, answered before or not. A moved
+// cell's home is the peer, so the holder's idle slots can neither pop it
+// nor steal it while the peer stays active. A cell whose holder has no
+// active peer stays with the holder, on a fresh lease, so the next lapse
+// looks again. Returns how many cells it moved.
 func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 	s.mu.Lock()
 	defer func() {
@@ -1008,21 +1014,35 @@ func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 	requeued := 0
 	for _, l := range lapsed {
 		fc := s.byHash[l.hash]
-		if fc == nil || queued[fc] {
+		if fc == nil || queued[fc] || s.resolvedLocked(fc.key) {
 			continue
 		}
-		if s.resolvedLocked(fc.key) {
+		peer := s.activePeerLocked(fc.key, l.worker)
+		if peer == "" {
+			s.co.leases.grant(l.hash, l.worker, time.Now())
 			continue
 		}
-		fc.home = ""
-		owner := s.ring.Owner(fc.key)
-		s.queues[owner] = append(s.queues[owner], fc)
+		fc.home = peer
+		s.queues[peer] = append(s.queues[peer], fc)
 		for _, held := range s.queues[l.worker] {
 			held.home = ""
 		}
 		requeued++
 	}
 	return requeued
+}
+
+// activePeerLocked picks the worker a lapsed lease's cell moves to: the
+// cell's ring owner unless that is the holder or not active, else the
+// first other active ring member by name; "" when there is none. Callers
+// hold s.mu.
+func (s *sweepRun) activePeerLocked(key, holder string) string {
+	for _, w := range append([]string{s.ring.Owner(key)}, s.ring.Workers()...) {
+		if rw := s.workers[w]; w != holder && rw != nil && rw.status == runActive {
+			return w
+		}
+	}
+	return ""
 }
 
 // requeue puts one cell back onto its ring owner's queue, without a home:

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,6 +123,131 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	}
 	if expired := counterValue(t, snap, "fleet/leases_expired"); expired == 0 {
 		t.Error("leases_expired = 0 — the stalled worker's grant never lapsed")
+	}
+}
+
+// TestLapsedLeaseSkipsHolder: a worker with idle dispatch slots stalls on
+// one cell past its lease. The reaper must queue that cell on the active
+// peer, where the holder's idle slots can neither pop nor steal it, not
+// hand it back to the holder: the holder enters its stuck cell exactly
+// once, and the sweep still answers with single-node bytes.
+func TestLapsedLeaseSkipsHolder(t *testing.T) {
+	const body = `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[11,12]}`
+	want := singleNodeReference(t, body)
+
+	var (
+		mu      sync.Mutex
+		stuck   string // key of the first cell the holder entered
+		entries int    // the holder's entries into that cell
+	)
+	stuckIn := make(chan struct{})
+	holderExec := func(ctx context.Context, j runner.Job) system.Result {
+		mu.Lock()
+		if stuck == "" {
+			stuck = j.Key()
+			close(stuckIn)
+		}
+		isStuck := j.Key() == stuck
+		if isStuck {
+			entries++
+		}
+		mu.Unlock()
+		if isStuck {
+			// Stalled until the resolved sweep cancels this straggler.
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return coordFakeExecute(ctx, j)
+	}
+	// The peer computes nothing until the holder has stalled, so the
+	// holder always takes a cell and its lease lapses.
+	peerExec := func(ctx context.Context, j runner.Job) system.Result {
+		select {
+		case <-stuckIn:
+		case <-ctx.Done():
+		}
+		return coordFakeExecute(ctx, j)
+	}
+	_, holder := newFleetWorker(t, server.Options{Execute: holderExec, MaxInflight: 3, Jobs: 1})
+	_, peer := newFleetWorker(t, server.Options{Execute: peerExec})
+	co, cts := newTestCoordinator(t, CoordinatorOptions{
+		Workers:  []string{holder.URL, peer.URL},
+		LeaseTTL: 100 * time.Millisecond,
+	})
+
+	resp, got := postJSON(t, cts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sweep differs from single-node:\nfleet:  %s\nsingle: %s", got, want)
+	}
+	if expired := counterValue(t, co.Metrics(), "fleet/leases_expired"); expired == 0 {
+		t.Error("leases_expired = 0 — the holder's grant never lapsed")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if entries != 1 {
+		t.Errorf("holder entered its stuck cell %d times, want 1: the lapsed lease handed the cell back to it", entries)
+	}
+}
+
+// TestRequeueExpiredPicksActivePeer drives requeueExpired directly. A
+// lapsed cell moves to the holder's active peer, which becomes its home,
+// never to the holder or a paused suspect, and the holder's queued cells
+// lose their home. With no active peer the cell stays with the holder,
+// queued nowhere, on a fresh lease.
+func TestRequeueExpiredPicksActivePeer(t *testing.T) {
+	const holder, suspect, peer = "http://holder:1", "http://suspect:1", "http://peer:1"
+	newRun := func(peerStatus runStatus) (s *sweepRun, stuck, held *fleetCell) {
+		s = &sweepRun{
+			co:   &Coordinator{leases: newLeaseTable(time.Minute)},
+			ring: NewRing(0),
+			workers: map[string]*runWorker{
+				holder:  {status: runActive},
+				suspect: {status: runPaused},
+				peer:    {status: peerStatus},
+			},
+			queues:  map[string][]*fleetCell{},
+			byHash:  map[string]*fleetCell{},
+			pending: 2,
+		}
+		s.cond = sync.NewCond(&s.mu)
+		for w := range s.workers {
+			s.ring.Add(w)
+		}
+		stuck = &fleetCell{key: "stuck", hash: "h-stuck", home: holder}
+		held = &fleetCell{key: "held", hash: "h-held", home: holder}
+		s.byHash[stuck.hash], s.byHash[held.hash] = stuck, held
+		s.queues[holder] = []*fleetCell{held}
+		return s, stuck, held
+	}
+	lapsed := []cellLease{{hash: "h-stuck", worker: holder}}
+
+	s, stuck, held := newRun(runActive)
+	if n := s.requeueExpired(lapsed); n != 1 {
+		t.Fatalf("moved %d cells, want 1", n)
+	}
+	if stuck.home != peer || !slices.Contains(s.queues[peer], stuck) {
+		t.Fatalf("lapsed cell has home %q and peer queue %v, want both on %s", stuck.home, s.queues[peer], peer)
+	}
+	if held.home != "" {
+		t.Errorf("holder's queued cell kept home %q, want none", held.home)
+	}
+
+	s, stuck, _ = newRun(runPaused)
+	if n := s.requeueExpired(lapsed); n != 0 {
+		t.Fatalf("moved %d cells with no active peer, want 0", n)
+	}
+	for w, q := range s.queues {
+		if slices.Contains(q, stuck) {
+			t.Fatalf("lapsed cell queued on %s with no active peer", w)
+		}
+	}
+	if got := s.co.leases.expired(time.Now().Add(time.Minute)); len(got) != 1 || got[0].worker != holder {
+		t.Fatalf("leases after a lapse with no active peer = %+v, want one re-granted to the holder", got)
 	}
 }
 

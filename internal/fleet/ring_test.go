@@ -54,7 +54,8 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 
 // TestRingGoldenOwners pins concrete assignments so a cross-process (or
 // cross-platform, or cross-version) build that silently changes the hash
-// layout fails loudly: a coordinator and a resumed coordinator must agree.
+// layout fails loudly: a lost coordinator and the coordinator its sweep is
+// re-posted to must agree.
 func TestRingGoldenOwners(t *testing.T) {
 	r := NewRing(64)
 	for _, w := range workerNames(3) {
@@ -69,7 +70,7 @@ func TestRingGoldenOwners(t *testing.T) {
 	}
 	for k, want := range golden {
 		if got := r.Owner(k); got != want {
-			t.Errorf("Owner(%q) = %q, want %q (ring layout changed — this breaks resume across versions)", k, got, want)
+			t.Errorf("Owner(%q) = %q, want %q (ring layout changed — this breaks re-posting a sweep across versions)", k, got, want)
 		}
 	}
 }

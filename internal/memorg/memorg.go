@@ -22,7 +22,7 @@ import (
 // Organization kinds, in registration order. The integer values are
 // load-bearing: runner cell keys render the kind as a decimal, so the
 // values for the seed organizations must never change or every persistent
-// cache and checkpoint manifest would silently miss. New kinds append.
+// cache would silently miss. New kinds append.
 const (
 	KindBaseline = iota
 	KindCache

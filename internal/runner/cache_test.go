@@ -146,7 +146,10 @@ func TestDiskCacheLockExcludesConcurrentOpen(t *testing.T) {
 }
 
 // TestPersistentCacheSkipsExecution is the repeat-invocation scenario: a
-// second runner reopening the cache directory executes nothing.
+// second runner reopening the cache directory executes nothing, and a third
+// over a changed job set (the first six cells plus three new ones)
+// executes only the new cells. Cells are content-addressed, so the cache
+// alone carries a sweep's progress across invocations.
 func TestPersistentCacheSkipsExecution(t *testing.T) {
 	dir := t.TempDir()
 	jobs := testJobs(6)
@@ -179,6 +182,29 @@ func TestPersistentCacheSkipsExecution(t *testing.T) {
 	for i := range a {
 		if a[i].Cycles != b[i].Cycles {
 			t.Fatalf("grid cell %d differs: %d vs %d cycles", i, a[i].Cycles, b[i].Cycles)
+		}
+	}
+	c2.Close()
+
+	var third atomic.Int64
+	c3 := openTestCache(t, dir)
+	r3 := New(Options{Jobs: 3, Cache: c3, Execute: countingExecute(&third, 0)})
+	if err := r3.RunAll(context.Background(), testJobs(9)); err != nil {
+		t.Fatal(err)
+	}
+	if third.Load() != 3 {
+		t.Fatalf("changed job set executed %d cells, want 3 (only the new ones)", third.Load())
+	}
+	if hits := r3.CacheHitCells(); hits != 6 {
+		t.Fatalf("changed job set hit the cache %d times, want 6", hits)
+	}
+	if n := len(r3.Results()); n != 9 {
+		t.Fatalf("changed job set merged %d cells, want 9", n)
+	}
+	for i, j := range jobs {
+		want, _ := r1.Lookup(j.Key())
+		if got, ok := r3.Lookup(j.Key()); !ok || got.Cycles != want.Cycles {
+			t.Fatalf("reused cell %d differs: %d vs %d cycles", i, got.Cycles, want.Cycles)
 		}
 	}
 }

@@ -157,51 +157,3 @@ func indexedHashes(c *DiskCache) []string {
 	slices.Sort(hashes)
 	return hashes
 }
-
-// FuzzReadManifest feeds arbitrary bytes to ReadManifest as a directory's
-// manifest.json. It must reject or accept them without panicking, and a
-// manifest it accepts must come back unchanged through WriteManifest and a
-// second ReadManifest.
-func FuzzReadManifest(f *testing.F) {
-	jobs := testJobs(4)
-	real := &Manifest{
-		Schema: ManifestSchema,
-		RunID:  RunID(jobs),
-		Total:  len(jobs),
-		Done:   []string{jobs[0].Hash(), jobs[2].Hash()},
-	}
-	dir := f.TempDir()
-	if err := WriteManifest(dir, real); err != nil {
-		f.Fatal(err)
-	}
-	data, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add(bytes.Replace(data, []byte(ManifestSchema), []byte("cameo-manifest-v0"), 1))
-	f.Add([]byte(`{}`))
-
-	// Inputs run one at a time per fuzzing process, so they can share a
-	// directory: each overwrites the manifest the last one left.
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := ReadManifest(dir)
-		if err != nil {
-			return
-		}
-		if err := WriteManifest(dir, m); err != nil {
-			t.Fatalf("accepted manifest does not write: %v", err)
-		}
-		again, err := ReadManifest(dir)
-		if err != nil {
-			t.Fatalf("rewritten manifest rejected: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("round trip changed the manifest:\n%+v\nvs\n%+v", m, again)
-		}
-	})
-}

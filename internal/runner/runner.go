@@ -61,9 +61,6 @@ type Options struct {
 	// site (panics, errors, hangs) for chaos testing. Cache-site faults
 	// are armed on the DiskCache itself (SetFaults).
 	Faults *faultinject.Plan
-	// Checkpoint, when non-nil, records each completed cell so an
-	// interrupted sweep can resume without losing progress.
-	Checkpoint *Checkpoint
 }
 
 // Runner executes simulation jobs at most once each and memoizes the
@@ -206,8 +203,7 @@ func (r *Runner) get(ctx context.Context, j Job, ps *planStream) (system.Result,
 // attempts with backoff, stopping early on permanent (config) errors and on
 // sweep cancellation. A cell that exhausts its attempts is recorded in the
 // failure map; a cancelled cell is not — cancellation is the sweep's
-// verdict, not the cell's; a cell that succeeds is stored to the cache and
-// marked in the checkpoint.
+// verdict, not the cell's; a cell that succeeds is stored to the cache.
 func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Result, error) {
 	key, name, hash := j.Key(), j.Name(), j.Hash()
 	if r.opts.Cache != nil {
@@ -217,7 +213,6 @@ func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Res
 			r.fromCache++
 			r.cells[key] = cellInfo{name: name, fromCache: true}
 			r.mu.Unlock()
-			r.opts.Checkpoint.MarkDone(hash)
 			return cached, nil
 		}
 	}
@@ -246,7 +241,6 @@ func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Res
 			if r.opts.Cache != nil {
 				r.opts.Cache.Store(hash, res)
 			}
-			r.opts.Checkpoint.MarkDone(hash)
 			return res, nil
 		}
 		lastErr = err

@@ -120,7 +120,7 @@ type CellSpec struct {
 // request order (benchmarks outer, values inner) and index-aligned.
 type Grid struct {
 	// Jobs are the runner cells; Jobs[i].Key() is the canonical cell key
-	// the ring shards on and Jobs[i].Hash() the cache/checkpoint identity.
+	// the ring shards on and Jobs[i].Hash() the cache identity.
 	Jobs []runner.Job
 	// Tags are the human-facing cell labels ("milc@seed=7") the response
 	// grid reports, in request order.
@@ -203,7 +203,7 @@ func BuildGrid(req Request, maxCells int) (*Grid, error) {
 // CellRequest re-expresses one grid cell of req as a standalone single-cell
 // request — the coordinator's dispatch unit. The worker expanding it with
 // BuildGrid produces exactly the same job key, hash, and tag the
-// coordinator derived, so caches, checkpoints, and report rows line up.
+// coordinator derived, so caches and report rows line up.
 // TimeoutMS is cleared: the coordinator owns the sweep deadline and
 // propagates it per dispatch.
 func CellRequest(req Request, spec CellSpec) Request {
