@@ -27,13 +27,16 @@
 // recomputing a cell. With -coordinator -workers=..., cameod serves the
 // same /sweep contract but shards cells across the workers by consistent
 // hashing, sends a cell a worker with keeps_results already answered back
-// to that worker, work-steals stragglers (never a cell an active worker
-// answered before), and re-shards the cells of lost workers — see
-// internal/fleet. The -workers roster is the whole fleet. The
-// coordinator probes every worker each -heartbeat (default 1s) and runs
-// the suspicion-based failure detector (alive→suspect→dead, tuned by
-// -suspect-misses/-dead-misses); a dead worker whose probes answer again
-// is re-admitted. A coordinator keeps nothing on disk, so -cachedir is a
+// to that worker, and work-steals stragglers (never a cell an active
+// worker answered before) — see internal/fleet. The -workers roster is the
+// whole fleet, and the ring over it never changes. The coordinator probes
+// every worker's /readyz each -heartbeat (default 1s): -suspect-misses
+// consecutive misses, a failed dispatch or a draining worker's 503 turn a
+// worker suspect, which pauses its dispatch and opens its queued cells to
+// stealing, and the first probe that finds it ready makes it alive again
+// (alive ↔ suspect; a worker is never dropped). While every worker is
+// suspect, a sweep waits for one until its timeout_ms or its client ends
+// it. A coordinator keeps nothing on disk, so -cachedir is a
 // usage error with -coordinator: a lost coordinator's sweep is re-posted
 // to a restarted one, or to any other coordinator over the same -workers
 // roster, and the workers answer the cells it completed from their caches.
@@ -93,9 +96,8 @@ func run(args []string, stderr io.Writer) int {
 		workers     = fs.String("workers", "", "comma-separated worker base URLs the coordinator shards across")
 
 		leaseTTL      = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: cell dispatch lease duration; a cell whose lease lapses is dispatched again (0 = leasing off)")
-		heartbeat     = fs.Duration("heartbeat", time.Second, "coordinator mode: failure-detector cadence; every worker is probed this often")
-		suspectMisses = fs.Int("suspect-misses", 0, "coordinator mode: consecutive heartbeat misses before a worker turns suspect (0 = default 2)")
-		deadMisses    = fs.Int("dead-misses", 0, "coordinator mode: total consecutive misses before a suspect is declared dead and re-sharded (0 = default: suspect-misses+4)")
+		heartbeat     = fs.Duration("heartbeat", time.Second, "coordinator mode: failure-detector cadence; every worker's /readyz is probed this often, and a suspect that answers ready is alive again")
+		suspectMisses = fs.Int("suspect-misses", 0, "coordinator mode: consecutive missed /readyz probes before a worker turns suspect: its dispatch pauses and its queued cells open to stealing (0 = default 2)")
 		chaos         = fs.String("chaos", "", "semicolon-separated deterministic fault rules site:kind[:opt=v]... injected under fleet transport (sites fleet/dispatch, fleet/heartbeat, fleet/cachefetch; kinds drop, latency, error5xx, partition)")
 		chaosSeed     = fs.Uint64("chaos-seed", 1, "seed for the -chaos fault plan (same seed + same traffic = same faults)")
 	)
@@ -143,9 +145,7 @@ func run(args []string, stderr io.Writer) int {
 			MaxCells:          *maxCells,
 			HeartbeatInterval: *heartbeat,
 			SuspectMisses:     *suspectMisses,
-			DeadMisses:        *deadMisses,
 			Chaos:             chaosPlan,
-			ChaosSeed:         *chaosSeed,
 			LeaseTTL:          *leaseTTL,
 			Log:               logger,
 		})

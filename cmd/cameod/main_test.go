@@ -111,7 +111,8 @@ func TestRunMembershipFlagValidation(t *testing.T) {
 
 // TestRunCoordinatorRejectsStateFlags: a coordinator keeps nothing on
 // disk, so -cachedir with -coordinator is a usage error naming the flag,
-// and the retired coordinator-state flags are unknown.
+// and the retired coordinator flags (its state and the death window) are
+// unknown.
 func TestRunCoordinatorRejectsStateFlags(t *testing.T) {
 	var stderr bytes.Buffer
 	code := run([]string{"-addr", "127.0.0.1:0", "-coordinator", "-workers", "http://w:1",
@@ -127,6 +128,7 @@ func TestRunCoordinatorRejectsStateFlags(t *testing.T) {
 		{"-standby", "http://primary:1"},
 		{"-resume"},
 		{"-vnodes", "64"},
+		{"-dead-misses", "3"},
 	} {
 		stderr.Reset()
 		args := append([]string{"-addr", "127.0.0.1:0", "-coordinator", "-workers", "http://w:1"}, retired...)

@@ -13,7 +13,7 @@
 // exercised by tests against the real recovery code. The fleet's HTTP
 // transport consults it per request (SiteFleetDispatch, SiteFleetHeartbeat,
 // SiteFleetCacheFetch) with the network kinds Drop, Latency, Error5xx, and
-// Partition, so membership churn — suspicion, deaths, false deaths — is
+// Partition, so a worker's turns to suspect and back to alive are
 // chaos-tested against deterministic, replayable network schedules too.
 package faultinject
 

@@ -20,7 +20,7 @@ import (
 type Client struct {
 	http *http.Client
 	// probe bounds healthz/readyz probes separately from dispatches —
-	// a probe against a dead worker must fail fast.
+	// a probe against an unreachable worker must fail fast.
 	probe *http.Client
 }
 
@@ -45,15 +45,16 @@ func (e errShed) Error() string {
 	return fmt.Sprintf("fleet: worker saturated, retry after %s", e.retryAfter)
 }
 
-// errDraining marks a 503: the worker is draining and will not take new
-// cells this run — treat like a lost worker and re-shard.
+// errDraining marks a 503: the worker is draining and takes no new cells
+// — suspect it, and its queued cells open to stealing.
 var errDraining = fmt.Errorf("fleet: worker draining")
 
 // RunCell dispatches one single-cell request to a worker and returns the
 // worker's response. Error classes the caller dispatches on: errShed
-// (back off, same worker), errDraining (re-shard), *permanentCellError
-// (the worker rejected the cell as invalid — retrying elsewhere cannot
-// help), and transport errors (probe the worker, maybe re-shard).
+// (back off, same worker), errDraining (suspect the worker),
+// *permanentCellError (the worker rejected the cell as invalid — retrying
+// elsewhere cannot help), and transport errors (retry, then probe the
+// worker and maybe suspect it).
 func (c *Client) RunCell(ctx context.Context, worker string, req sweepapi.Request) (*sweepapi.Response, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -183,7 +184,10 @@ func errorBody(data []byte) string {
 	return s
 }
 
-// Ready probes a worker's /readyz and returns its admission state.
+// Ready probes a worker's /readyz and returns its admission state. This is
+// also the heartbeat probe — it rides the fleet/heartbeat fault site, so
+// partition drills can starve the failure detector without touching
+// dispatches.
 func (c *Client) Ready(ctx context.Context, worker string) (sweepapi.ReadyState, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/readyz", nil)
 	if err != nil {
@@ -201,10 +205,9 @@ func (c *Client) Ready(ctx context.Context, worker string) (sweepapi.ReadyState,
 	return st, nil
 }
 
-// Healthy probes a worker's /healthz: true means the process is alive
-// (possibly draining), false means gone. This is also the heartbeat probe
-// — it rides the fleet/heartbeat fault site, so partition drills can
-// starve the failure detector without touching dispatches.
+// Healthy probes a worker's /healthz once a dispatch to it has exhausted
+// its retries: true means the process is alive (possibly draining), so the
+// cell itself failed; false means the worker is unreachable.
 func (c *Client) Healthy(ctx context.Context, worker string) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/healthz", nil)
 	if err != nil {

@@ -208,8 +208,8 @@ func TestWaitBackoff(t *testing.T) {
 
 // TestDispatchRetryExhaustion: a healthy worker whose dispatches keep
 // failing burns through its dispatch retries and the cell lands in the
-// failure report (kind "error") — no endless retry loop, no false worker
-// death.
+// failure report (kind "error") — no endless retry loop, and the worker
+// is not suspected.
 func TestDispatchRetryExhaustion(t *testing.T) {
 	ready, _ := json.Marshal(sweepapi.ReadyState{Ready: true, MaxInflight: 2})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -239,6 +239,9 @@ func TestDispatchRetryExhaustion(t *testing.T) {
 	}
 	if got := counterValue(t, co.Metrics(), "fleet/dispatch_retries"); got == 0 {
 		t.Error("dispatch_retries = 0 — retries never engaged before exhaustion")
+	}
+	if got := counterOrZero(co.Metrics(), "fleet/suspects"); got != 0 {
+		t.Errorf("suspects = %d, want 0: the worker answered its health probe", got)
 	}
 }
 

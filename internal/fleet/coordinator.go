@@ -28,24 +28,17 @@ type CoordinatorOptions struct {
 	// MaxCells caps the grid size a single request may ask for (<=0: 1024).
 	MaxCells int
 	// HeartbeatInterval is the failure detector's cadence (<=0: 1s): every
-	// interval each alive worker's /healthz is probed, and misses drive the
-	// alive → suspect → dead lifecycle.
+	// interval each worker's /readyz is probed, and the answers drive the
+	// alive ↔ suspect lifecycle.
 	HeartbeatInterval time.Duration
-	// SuspectMisses is how many consecutive heartbeat misses turn an alive
-	// worker suspect (<=0: 2). A suspect keeps its ring arcs and queued
-	// cells; only new dispatches pause.
+	// SuspectMisses is how many consecutive missed probes turn an alive
+	// worker suspect (<=0: 2). A suspect keeps its ring arcs; its dispatch
+	// pauses and its queued cells are open to stealing until a probe finds
+	// it ready again.
 	SuspectMisses int
-	// DeadMisses is the total consecutive misses that turn a suspect dead
-	// (<= SuspectMisses: SuspectMisses+4). Only this transition re-shards.
-	DeadMisses int
 	// Chaos, when non-nil, injects deterministic transport faults under
 	// every coordinator request (sites fleet/dispatch, fleet/heartbeat).
 	Chaos *faultinject.Plan
-	// ChaosSeed seeds the failure detector's probe jitter (0 = 1). Wiring
-	// it to the -chaos-seed flag keeps chaos drills replayable end to end:
-	// the same seed reproduces both the fault schedule and the probe
-	// timing, while distinct seeds explore distinct interleavings.
-	ChaosSeed uint64
 	// LeaseTTL, when positive, grants every cell dispatch a time-bounded
 	// in-memory lease: which worker holds which in-flight cell, until when.
 	// An expired lease makes its cell re-dispatchable (per-key result
@@ -53,8 +46,8 @@ type CoordinatorOptions struct {
 	// admission-blocked worker, which the failure detector never suspects,
 	// cannot stall a sweep. Zero disables leasing.
 	LeaseTTL time.Duration
-	// Log receives operational lines (suspicions, deaths, re-shards).
-	// Nil discards them.
+	// Log receives operational lines (suspicions, recoveries, lapsed
+	// leases). Nil discards them.
 	Log *log.Logger
 }
 
@@ -63,17 +56,18 @@ type CoordinatorOptions struct {
 const dispatchRetries = 2
 
 // Coordinator shards sweeps across a fleet of cameod workers: answer-
-// affinity and consistent-hash placement, bounded per-worker dispatch,
-// work-stealing off the longest queue when a worker goes idle, and
-// self-healing membership — a suspicion-based failure detector (alive →
-// suspect → dead; only dead re-shards) whose probes also re-admit a roster
-// worker that answers again. A cell some worker that keeps results
-// (/readyz keeps_results) has already answered goes back to that worker,
-// and no idle worker steals it while that worker is active and lets no
-// dispatch lease lapse, so a fault-free sweep simulates each needed cell
-// once; every other cell goes to its ring owner. Safe for concurrent
-// sweeps; membership transitions observed by one sweep apply to every
-// active and future sweep.
+// affinity and consistent-hash placement over a ring fixed to the roster,
+// bounded per-worker dispatch, work-stealing off the longest queue when a
+// worker goes idle, and a two-state failure detector (alive ↔ suspect)
+// whose /readyz probes pause a suspect's dispatch and resume it once the
+// worker is ready again. A suspect's queued cells are open to stealing:
+// they move to other workers that way and never change ring owner. A cell
+// some worker that keeps results (/readyz keeps_results) has already
+// answered goes back to that worker, and no idle worker steals it while
+// that worker is active and lets no dispatch lease lapse, so a fault-free
+// sweep simulates each needed cell once; every other cell goes to its ring
+// owner. Safe for concurrent sweeps; a state change observed by one sweep
+// applies to every active and future sweep.
 //
 // A coordinator keeps nothing on disk: its ring, answer record and leases
 // are hints over the workers' checksummed result caches. A lost
@@ -86,7 +80,7 @@ type Coordinator struct {
 	client  *Client
 	log     *log.Logger
 	mem     *membership
-	leases  *leaseTable
+	ring    *Ring                           // over the roster, fixed at construction
 	answers *boundedmap.Map[string, string] // cell hash → worker that answered it
 
 	mu   sync.Mutex
@@ -100,8 +94,6 @@ type Coordinator struct {
 	sweeps     *metrics.Counter
 	dispatched *metrics.Counter
 	stolen     *metrics.Counter
-	resharded  *metrics.Counter
-	deaths     *metrics.Counter
 	retries    *metrics.Counter
 	shedWaits  *metrics.Counter
 	cellsFail  *metrics.Counter
@@ -109,9 +101,10 @@ type Coordinator struct {
 	leaseExp   *metrics.Counter
 }
 
-// NewCoordinator validates the options, builds a Coordinator, and starts
-// the failure detector (and, with LeaseTTL set, the lease reaper). Call
-// Close to stop them.
+// NewCoordinator validates the options, builds a Coordinator and its ring
+// over the roster, and starts the failure detector's per-worker heartbeat
+// loops (and, with LeaseTTL set, the lease reaper). Call Close to stop
+// them.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("fleet: coordinator needs at least one worker")
@@ -143,6 +136,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		opts:    opts,
 		client:  NewClient(opts.Chaos),
 		log:     opts.Log,
+		ring:    NewRing(DefaultVirtualNodes),
 		runs:    map[*sweepRun]struct{}{},
 		reg:     metrics.NewRegistry(),
 		answers: boundedmap.New[string, string](answerRecordBound),
@@ -151,28 +145,28 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.sweeps = sc.Counter("sweeps_completed")
 	c.dispatched = sc.Counter("cells_dispatched")
 	c.stolen = sc.Counter("cells_stolen")
-	c.resharded = sc.Counter("cells_resharded")
-	c.deaths = sc.Counter("worker_deaths")
 	c.retries = sc.Counter("dispatch_retries")
 	c.shedWaits = sc.Counter("shed_backoffs")
 	c.cellsFail = sc.Counter("cells_failed")
 	c.leaseGrant = sc.Counter("leases_granted")
 	c.leaseExp = sc.Counter("leases_expired")
-	c.mem = newMembership(opts.SuspectMisses, opts.DeadMisses, opts.HeartbeatInterval, opts.ChaosSeed, sc)
+	c.mem = newMembership(opts.SuspectMisses, sc)
 	sc.GaugeFunc("workers_alive", func() float64 { return float64(len(c.mem.byState(StateAlive))) })
 	sc.GaugeFunc("workers_suspect", func() float64 { return float64(len(c.mem.byState(StateSuspect))) })
 	for _, w := range opts.Workers {
 		c.mem.admit(w)
+		c.ring.Add(w)
 	}
-	c.leases = newLeaseTable(opts.LeaseTTL)
 	bgCtx, bgCancel := context.WithCancel(context.Background())
 	c.bgCancel = bgCancel
-	c.bgWG.Add(1)
-	go func() {
-		defer c.bgWG.Done()
-		c.heartbeatLoop(bgCtx)
-	}()
-	if c.leases != nil {
+	for _, w := range opts.Workers {
+		c.bgWG.Add(1)
+		go func() {
+			defer c.bgWG.Done()
+			c.heartbeatLoop(bgCtx, w)
+		}()
+	}
+	if opts.LeaseTTL > 0 {
 		c.bgWG.Add(1)
 		go func() {
 			defer c.bgWG.Done()
@@ -203,8 +197,8 @@ func (c *Coordinator) Close() {
 // Metrics returns the coordinator's counters under the fleet scope.
 func (c *Coordinator) Metrics() metrics.Snapshot { return c.reg.Snapshot() }
 
-// snapshotRuns copies the active-sweep set so membership side effects are
-// applied without holding the registry lock.
+// snapshotRuns copies the active-sweep set so state changes and lapsed
+// leases are applied without holding the registry lock.
 func (c *Coordinator) snapshotRuns() []*sweepRun {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -215,10 +209,11 @@ func (c *Coordinator) snapshotRuns() []*sweepRun {
 	return out
 }
 
-// heartbeatLoop is the failure detector: every interval, probe the due
-// workers (all alive ones each tick; suspects and dead on their jittered
-// backoff) and apply the resulting transitions.
-func (c *Coordinator) heartbeatLoop(ctx context.Context) {
+// heartbeatLoop is the failure detector for one roster worker: every
+// interval, probe its /readyz and apply the answer. Each worker has its own
+// loop, so a worker whose probe hangs until the probe timeout delays no
+// other worker's probes.
+func (c *Coordinator) heartbeatLoop(ctx context.Context, worker string) {
 	t := time.NewTicker(c.opts.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -227,19 +222,18 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		for _, w := range c.mem.due(time.Now()) {
-			ok := c.client.Healthy(ctx, w)
-			if ctx.Err() != nil {
-				return // a probe cut short by Close says nothing
-			}
-			c.applyProbe(ctx, w, ok)
+		slots, _, ready := c.workerSlots(ctx, worker)
+		if ctx.Err() != nil {
+			return // a probe cut short by Close says nothing
 		}
+		c.applyProbe(worker, ready, slots)
 	}
 }
 
-// leaseReaperLoop re-dispatches cells whose leases lapsed: the holder died
-// (or stalled) without resolving them, so an active peer's queue gets
-// them. Runs only when leasing is on.
+// leaseReaperLoop re-dispatches cells whose leases lapsed: the holder
+// stalled (or is gone) without resolving them, so an active peer's queue
+// gets them. Each sweep holds its own leases and takes back only its own
+// lapsed ones. Runs only when leasing is on.
 func (c *Coordinator) leaseReaperLoop(ctx context.Context) {
 	interval := c.opts.LeaseTTL / 4
 	if interval < 50*time.Millisecond {
@@ -253,113 +247,80 @@ func (c *Coordinator) leaseReaperLoop(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		expired := c.leases.expired(time.Now())
-		if len(expired) == 0 {
-			continue
-		}
-		c.leaseExp.Add(uint64(len(expired)))
-		requeued := 0
+		now := time.Now()
 		for _, r := range c.snapshotRuns() {
-			requeued += r.requeueExpired(expired)
-		}
-		if requeued > 0 {
-			c.log.Printf("fleet: %d lease(s) expired; re-dispatching %d unresolved cell(s)", len(expired), requeued)
+			expired := r.leases.expired(now)
+			if len(expired) == 0 {
+				continue
+			}
+			c.leaseExp.Add(uint64(len(expired)))
+			if n := r.requeueExpired(expired); n > 0 {
+				c.log.Printf("fleet: %d lease(s) expired; re-dispatching %d unresolved cell(s)", len(expired), n)
+			}
 		}
 	}
 }
 
 // applyProbe feeds one heartbeat answer into the detector and applies the
-// transition to every active sweep.
-func (c *Coordinator) applyProbe(ctx context.Context, worker string, ok bool) {
-	switch c.mem.probeResult(worker, ok) {
-	case transSuspected:
-		c.log.Printf("fleet: worker %s suspect (heartbeat missed); pausing dispatch, keeping its cells", worker)
-		c.forgetAnswers(worker)
-		for _, r := range c.snapshotRuns() {
+// worker's state to every active sweep: a ready worker is active there,
+// with its slots (the probe's answer) spawned the first time, and a
+// suspect is paused. The state is applied on every answer, not only on a
+// change, so a sweep that registered while the state changed catches up
+// at the next tick.
+func (c *Coordinator) applyProbe(worker string, ready bool, slots int) {
+	st, changed := c.mem.probeResult(worker, ready)
+	switch {
+	case changed && ready:
+		c.log.Printf("fleet: worker %s ready again; resuming dispatch", worker)
+	case changed:
+		c.onSuspect(worker, "heartbeat missed")
+	}
+	for _, r := range c.snapshotRuns() {
+		switch {
+		case ready:
+			r.resumeWorker(worker, slots)
+		case st == StateSuspect:
 			r.pauseWorker(worker)
 		}
-	case transDied:
-		c.deaths.Inc()
-		c.forgetAnswers(worker)
-		c.log.Printf("fleet: worker %s dead (suspicion window elapsed), re-sharding its cells", worker)
-		for _, r := range c.snapshotRuns() {
-			r.removeWorker(worker)
-		}
-	case transRecovered:
-		c.log.Printf("fleet: worker %s answered again before the suspicion window elapsed; resuming (no re-shard)", worker)
-		c.admitToRuns(ctx, worker)
-	case transRevived:
-		c.log.Printf("fleet: worker %s returned from the dead (false death); re-admitting as a fresh member", worker)
-		c.forgetAnswers(worker)
-		c.admitToRuns(ctx, worker)
 	}
 }
 
-// forgetAnswers drops a worker's entries from the answer record. A worker
-// that turns suspect, dies or comes back from the dead may have restarted
-// at the same URL without the results it answered (another or an empty
-// -cachedir), so future sweeps place its cells by the ring again. A worker
-// restarted between two heartbeats keeps its entries: it simulates those
-// cells once more, with none of its peers allowed to steal them.
-func (c *Coordinator) forgetAnswers(worker string) {
-	c.answers.DeleteFunc(func(_, w string) bool { return w == worker })
-}
-
-// declareDead kills a worker immediately (a deliberate departure: the
-// worker is draining) and re-shards it out of every active sweep.
-func (c *Coordinator) declareDead(worker string) {
-	if c.mem.forceDead(worker) != transDied {
+// suspectWorker reports dispatch-level evidence of trouble (a failed
+// dispatch and health probe, or a 503 drain answer): the worker turns
+// suspect and its dispatch pauses everywhere until a probe finds it ready.
+func (c *Coordinator) suspectWorker(worker, why string) {
+	if !c.mem.suspect(worker) {
 		return
 	}
-	c.deaths.Inc()
-	c.forgetAnswers(worker)
-	for _, r := range c.snapshotRuns() {
-		r.removeWorker(worker)
-	}
-}
-
-// suspectWorker reports dispatch-level evidence of trouble: the worker
-// turns suspect (dispatch pauses everywhere) and the detector's probes
-// decide between recovery and death.
-func (c *Coordinator) suspectWorker(worker string) {
-	if c.mem.suspect(worker) != transSuspected {
-		return
-	}
-	c.log.Printf("fleet: worker %s suspect (dispatch failed and health probe missed); pausing dispatch, keeping its cells", worker)
-	c.forgetAnswers(worker)
+	c.onSuspect(worker, why)
 	for _, r := range c.snapshotRuns() {
 		r.pauseWorker(worker)
 	}
+}
+
+// onSuspect logs a worker's turn to suspect and drops its entries from the
+// answer record: it may come back at the same URL without the results it
+// answered (another or an empty -cachedir), so future sweeps place its
+// cells by the ring again. A worker restarted between two heartbeats keeps
+// its entries: it simulates those cells once more, with none of its peers
+// allowed to steal them.
+func (c *Coordinator) onSuspect(worker, why string) {
+	c.log.Printf("fleet: worker %s suspect (%s); pausing its dispatch, its queued cells open to stealing", worker, why)
+	c.answers.DeleteFunc(func(_, w string) bool { return w == worker })
 }
 
 // workerSlots probes a worker's /readyz for its advertised dispatch
 // concurrency (admission-aware placement): the coordinator fills exactly
 // the slots a worker advertises, so its admission queue never sheds fleet
 // traffic. keeps reports whether the worker answers repeats from its reply
-// memo, which is what answer affinity needs.
+// memo, which is what answer affinity needs. A draining worker's /readyz
+// answers not ready.
 func (c *Coordinator) workerSlots(ctx context.Context, worker string) (slots int, keeps, ready bool) {
 	st, err := c.client.Ready(ctx, worker)
 	if err != nil || !st.Ready {
 		return 0, false, false
 	}
 	return max(st.MaxInflight, 1), st.KeepsResults, true
-}
-
-// admitToRuns returns a recovered or revived worker to every active sweep:
-// a paused suspect resumes with the cells it kept, and a worker new to a
-// sweep takes exactly the queued unrecorded cells whose arcs its virtual
-// nodes now own (the remap bound — no other worker's cells move).
-func (c *Coordinator) admitToRuns(ctx context.Context, worker string) {
-	slots, _, ready := c.workerSlots(ctx, worker)
-	if !ready {
-		// Alive but not admitting sweeps yet: it stays in the ring for
-		// future sweeps; the active ones proceed without it.
-		c.log.Printf("fleet: worker %s answered /healthz but /readyz is not ready; deferring its dispatch", worker)
-		return
-	}
-	for _, r := range c.snapshotRuns() {
-		r.addWorker(worker, slots)
-	}
 }
 
 // errBadRequest marks request-shaped failures (unknown org/benchmark,
@@ -379,8 +340,8 @@ type fleetCell struct {
 	// is active: the worker that answered it before, when that worker is
 	// in the sweep and keeps results, or the peer a lapsed lease moved it
 	// to; empty otherwise. Set by Run and requeueExpired, cleared (under
-	// the sweep mutex) when the cell is re-queued or re-sharded, or its
-	// home lets a lease lapse.
+	// the sweep mutex) when the cell is re-queued or its home lets a lease
+	// lapse.
 	home string
 }
 
@@ -397,16 +358,15 @@ type runStatus int
 const (
 	// runActive: dispatch loops pull from its queue.
 	runActive runStatus = iota
-	// runPaused: a suspect; its loops park, its queued cells stay put but
-	// remain stealable by idle workers.
+	// runPaused: a suspect; its loops (if any) park, its queued cells stay
+	// put but are open to stealing by active workers.
 	runPaused
-	// runGone: dead for this sweep; queue re-sharded, loops exited.
-	runGone
 )
 
 // runWorker is one worker's per-sweep record.
 type runWorker struct {
-	status runStatus
+	status  runStatus
+	spawned bool // its dispatch slots are running
 }
 
 // sweepRun is the per-sweep dispatch state.
@@ -421,11 +381,14 @@ type sweepRun struct {
 	dctx context.Context
 	req  sweepapi.Request
 
+	// leases holds this sweep's dispatch leases (nil when leasing is off):
+	// a sweep that shares a cell with another holds its own lease on it.
+	leases *leaseTable
+
 	mu       sync.Mutex
 	cond     *sync.Cond
 	wg       sync.WaitGroup
-	ring     *Ring
-	workers  map[string]*runWorker
+	workers  map[string]*runWorker // every roster worker
 	queues   map[string][]*fleetCell
 	byHash   map[string]*fleetCell // cache hash → cell, for lease bookkeeping
 	results  map[string]sweepapi.Cell
@@ -438,11 +401,12 @@ type sweepRun struct {
 // Run executes one sweep across the fleet and returns the merged
 // response — cells in request order, failures key-sorted — byte-for-byte
 // the response a single worker would have produced for the same request,
-// under any membership schedule (suspicions, deaths, re-admissions)
-// along the way. The error mirrors the worker contract: *errBadRequest
-// for invalid requests, the context error on cancellation, a plain error
-// when the whole fleet is lost. Worker-quarantined cells are not an
-// error; they appear in Response.Failures.
+// under any schedule of suspicions and recoveries along the way. While
+// every worker is suspect the sweep waits for one to answer, until its
+// context ends. The error mirrors the worker contract: *errBadRequest for
+// invalid requests, the context error on cancellation or deadline, and a
+// plain error when no worker is alive at sweep start. Worker-quarantined
+// cells are not an error; they appear in Response.Failures.
 func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.Response, error) {
 	grid, err := sweepapi.BuildGrid(req, c.opts.MaxCells)
 	if err != nil {
@@ -470,6 +434,7 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		ctx:      ctx,
 		dctx:     dctx,
 		req:      req,
+		leases:   newLeaseTable(c.opts.LeaseTTL),
 		workers:  map[string]*runWorker{},
 		queues:   map[string][]*fleetCell{},
 		byHash:   map[string]*fleetCell{},
@@ -482,30 +447,27 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 		s.byHash[fc.hash] = fc
 	}
 
-	// Build the ring over the current membership and probe each worker's
-	// admission state: the advertised MaxInflight sizes its dispatch slots
-	// (admission-aware placement). A worker that cannot answer /readyz is
-	// suspected and left out; the detector re-admits it mid-sweep once its
-	// probes answer again.
-	members := c.mem.ringMembers()
-	if len(members) == 0 {
-		return nil, errors.New("fleet: no live workers")
-	}
-	s.ring = NewRing(DefaultVirtualNodes)
+	// Every roster worker joins the sweep. An alive worker's /readyz
+	// answer sizes its dispatch slots (admission-aware placement); one that
+	// is not ready turns suspect. A suspect joins paused: the cells the
+	// ring gives it wait in its queue, open to stealing, until a heartbeat
+	// finds it ready and it spawns its slots.
 	slots := map[string]int{}
 	keeps := map[string]bool{}
-	for _, w := range members {
+	for _, w := range c.opts.Workers {
+		s.workers[w] = &runWorker{status: runPaused}
+		if c.mem.state(w) != StateAlive {
+			continue
+		}
 		n, k, ready := c.workerSlots(ctx, w)
 		if !ready {
-			c.log.Printf("fleet: worker %s not ready at sweep start, suspecting (the detector may re-admit it)", w)
-			c.suspectWorker(w)
+			c.suspectWorker(w, "not ready at sweep start")
 			continue
 		}
 		slots[w], keeps[w] = n, k
-		s.workers[w] = &runWorker{status: runActive}
-		s.ring.Add(w)
+		s.workers[w].status = runActive
 	}
-	if s.ring.Len() == 0 {
+	if len(slots) == 0 {
 		return nil, errors.New("fleet: no live workers")
 	}
 	// Answer affinity: a cell answered before by a worker that is in this
@@ -520,13 +482,13 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	}
 	for _, fc := range order {
 		if fc.home == "" {
-			owner := s.ring.Owner(fc.key)
+			owner := c.ring.Owner(fc.key)
 			s.queues[owner] = append(s.queues[owner], fc)
 		}
 	}
 
-	// Register with the coordinator so membership transitions reach this
-	// sweep.
+	// Register with the coordinator so state changes and lapsed leases
+	// reach this sweep.
 	c.mu.Lock()
 	c.runs[s] = struct{}{}
 	c.mu.Unlock()
@@ -554,9 +516,9 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	}()
 
 	// The sweep resolves when every unique cell has a result or a failure
-	// record (or something fatal happened) — not when the loops drain:
-	// with every member paused under suspicion there may be moments with
-	// no runnable loop at all, and the sweep must simply wait them out.
+	// record (or its context ended) — not when the loops drain: with every
+	// worker paused under suspicion there is no runnable loop at all, and
+	// the sweep simply waits for a worker to answer again.
 	// Once it resolves, dispatches still in flight are stragglers whose
 	// cells resolved elsewhere: cancel them rather than wait for them.
 	s.mu.Lock()
@@ -597,9 +559,31 @@ func (c *Coordinator) Run(ctx context.Context, req sweepapi.Request) (*sweepapi.
 	return resp, nil
 }
 
-// spawnLoopsLocked starts n dispatch slots for a worker. Callers hold s.mu
-// and have checked the run is not closed.
+// resumeWorker makes a worker that a probe found ready active in this
+// sweep: the first time, its n dispatch slots spawn; after a pause, its
+// parked slots go on with whatever is left in its queue. No-op once the
+// sweep has resolved.
+func (s *sweepRun) resumeWorker(worker string, n int) {
+	s.mu.Lock()
+	defer func() {
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	}()
+	if s.closed || s.fatal != nil || s.pending == 0 {
+		return
+	}
+	s.workers[worker].status = runActive
+	s.spawnLoopsLocked(worker, n)
+}
+
+// spawnLoopsLocked starts a worker's n dispatch slots, once per sweep.
+// Callers hold s.mu and have checked the run is not closed.
 func (s *sweepRun) spawnLoopsLocked(worker string, n int) {
+	rw := s.workers[worker]
+	if rw.spawned {
+		return
+	}
+	rw.spawned = true
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -609,85 +593,11 @@ func (s *sweepRun) spawnLoopsLocked(worker string, n int) {
 	}
 }
 
-// addWorker makes a recovered or revived worker dispatchable in this
-// sweep. A paused suspect resumes: it kept its arcs and its queue. A worker
-// new to the sweep becomes a ring member, exactly the queued unrecorded
-// cells whose arcs it now owns move to its queue (no other queue changes —
-// the consistent-hashing remap bound; a recorded cell stays with the worker
-// that answered it), and its dispatch loops spawn. No-op once the sweep has
-// resolved.
-func (s *sweepRun) addWorker(worker string, slots int) {
-	s.mu.Lock()
-	defer func() {
-		s.mu.Unlock()
-		s.cond.Broadcast()
-	}()
-	if s.closed || s.fatal != nil || s.pending == 0 {
-		return
-	}
-	if rw, ok := s.workers[worker]; ok && rw.status != runGone {
-		rw.status = runActive
-		return
-	}
-	s.workers[worker] = &runWorker{status: runActive}
-	s.ring.Add(worker)
-	var moved []*fleetCell
-	for ow, q := range s.queues {
-		if ow == worker {
-			continue
-		}
-		kept := q[:0]
-		for _, fc := range q {
-			if fc.home == "" && s.ring.Owner(fc.key) == worker {
-				moved = append(moved, fc)
-			} else {
-				kept = append(kept, fc)
-			}
-		}
-		s.queues[ow] = kept
-	}
-	s.queues[worker] = append(s.queues[worker], moved...)
-	s.spawnLoopsLocked(worker, slots)
-}
-
-// pauseWorker parks a suspect's dispatch loops; its queue stays (and stays
-// stealable).
+// pauseWorker parks a suspect's dispatch loops; its queue stays (and is
+// open to stealing).
 func (s *sweepRun) pauseWorker(worker string) {
 	s.mu.Lock()
-	if rw, ok := s.workers[worker]; ok && rw.status == runActive {
-		rw.status = runPaused
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// removeWorker re-shards a dead worker's backlog across the survivors via
-// the ring — only its cells move, everyone else's stay put — and the moved
-// cells lose their home: no survivor answered them. Idempotent.
-func (s *sweepRun) removeWorker(worker string) {
-	s.mu.Lock()
-	rw, ok := s.workers[worker]
-	if !ok || rw.status == runGone {
-		s.mu.Unlock()
-		return
-	}
-	rw.status = runGone
-	s.ring.Remove(worker)
-	orphans := s.queues[worker]
-	delete(s.queues, worker)
-	if s.ring.Len() == 0 {
-		if s.pending > 0 {
-			s.fatalLocked(errors.New("fleet: all workers lost"))
-		}
-		s.mu.Unlock()
-		return
-	}
-	for _, fc := range orphans {
-		fc.home = ""
-		owner := s.ring.Owner(fc.key)
-		s.queues[owner] = append(s.queues[owner], fc)
-		s.co.resharded.Inc()
-	}
+	s.workers[worker].status = runPaused
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -703,7 +613,7 @@ func (s *sweepRun) fail(err error) {
 }
 
 // dispatchLoop runs one dispatch slot against one worker until the sweep
-// resolves, the worker dies, or the sweep fails.
+// resolves or fails.
 func (s *sweepRun) dispatchLoop(worker string) {
 	for {
 		fc, stolen := s.next(worker)
@@ -723,17 +633,16 @@ func (s *sweepRun) dispatchLoop(worker string) {
 // Parks while this worker is paused under suspicion, and blocks while
 // cells are in flight elsewhere (they may yet be requeued) or only cells
 // their active homes will answer remain; returns nil when the sweep is
-// resolved, fatal, or this worker is gone.
+// resolved or fatal.
 func (s *sweepRun) next(worker string) (*fleetCell, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		rw := s.workers[worker]
-		if s.fatal != nil || s.closed || s.pending == 0 || rw == nil || rw.status == runGone {
+		if s.fatal != nil || s.closed || s.pending == 0 {
 			s.cond.Broadcast()
 			return nil, false
 		}
-		if rw.status == runPaused {
+		if s.workers[worker].status == runPaused {
 			s.cond.Wait()
 			continue
 		}
@@ -764,7 +673,7 @@ func (s *sweepRun) stealLocked(thief string) *fleetCell {
 	}
 	victim, depth := "", 0
 	for w, q := range s.queues {
-		if vw, ok := s.workers[w]; w == thief || !ok || vw.status == runGone {
+		if w == thief {
 			continue
 		}
 		n := 0
@@ -790,7 +699,7 @@ func (s *sweepRun) stealLocked(thief string) *fleetCell {
 }
 
 // dispatch sends one cell to one worker, handling shedding, retries,
-// worker loss, suspicion, and permanent rejections.
+// draining, suspicion, and permanent rejections.
 func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 	attempts := 0
 	for {
@@ -806,11 +715,11 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			}
 		}
 		s.co.dispatched.Inc()
-		if s.co.leases != nil {
+		if s.leases != nil {
 			// Grant (or re-grant) the dispatch lease before the cell
 			// leaves: should the worker never answer, the reaper
 			// re-dispatches the cell once the grant lapses.
-			s.co.leases.grant(fc.hash, worker, time.Now())
+			s.leases.grant(fc.hash, worker, time.Now())
 			s.co.leaseGrant.Inc()
 		}
 		resp, err := s.co.client.RunCell(s.dctx, worker, req)
@@ -855,11 +764,10 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 			})
 			return
 		case errors.Is(err, errDraining):
-			// A draining worker is leaving on purpose — no suspicion
-			// window applies; it is dead to the fleet now.
-			s.co.log.Printf("fleet: worker %s draining, re-sharding its cells", worker)
-			s.co.declareDead(worker)
-			s.requeue(worker, fc)
+			// A draining worker takes no new cells: it turns suspect at
+			// once, and its /readyz keeps it suspect while it drains.
+			s.co.suspectWorker(worker, "draining")
+			s.requeue(fc)
 			return
 		default:
 			attempts++
@@ -888,12 +796,10 @@ func (s *sweepRun) dispatch(worker string, fc *fleetCell) {
 				})
 				return
 			}
-			// Never kill on one bad dispatch — a dropped connection or a
-			// GC pause is not a crash. Park the worker, put the cell back
-			// (its queue is stealable), and let the failure detector
-			// adjudicate.
-			s.co.suspectWorker(worker)
-			s.requeue(worker, fc)
+			// Park the worker and put the cell back: its queue is open to
+			// stealing until a probe finds the worker ready again.
+			s.co.suspectWorker(worker, "dispatch failed and health probe missed")
+			s.requeue(fc)
 			return
 		}
 	}
@@ -927,11 +833,11 @@ func (s *sweepRun) failUnlessEnded(err error) {
 }
 
 // resolve records a worker's answer for one cell. Duplicate answers for
-// the same canonical cell key (a revived worker's stale dispatch racing
-// the re-assigned one, or a lapsed lease's holder answering after the
+// the same canonical cell key (a recovered worker's stale dispatch racing
+// the stolen one, or a lapsed lease's holder answering after the
 // re-dispatch already failed) are dropped here and in recordFailure — the
-// dedupe that guarantees no cell resolves twice whatever the membership
-// churn. A result goes into the coordinator's answer record.
+// dedupe that guarantees no cell resolves twice whatever the suspicions.
+// A result goes into the coordinator's answer record.
 func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response) {
 	if len(resp.Failures) > 0 {
 		// The worker ran the cell and quarantined it (keep-going): adopt
@@ -958,7 +864,7 @@ func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response
 	}
 	s.mu.Unlock()
 	s.co.answers.Put(fc.hash, worker)
-	s.co.leases.release(fc.hash)
+	s.leases.release(fc.hash)
 	s.cond.Broadcast()
 }
 
@@ -982,7 +888,7 @@ func (s *sweepRun) recordFailure(fc *fleetCell, cf runner.CellFailure) {
 		s.pending--
 	}
 	s.mu.Unlock()
-	s.co.leases.release(fc.hash)
+	s.leases.release(fc.hash)
 	s.cond.Broadcast()
 }
 
@@ -1002,7 +908,7 @@ func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}()
-	if s.closed || s.fatal != nil || s.pending == 0 || s.ring.Len() == 0 {
+	if s.closed || s.fatal != nil || s.pending == 0 {
 		return 0
 	}
 	queued := map[*fleetCell]bool{}
@@ -1019,7 +925,7 @@ func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 		}
 		peer := s.activePeerLocked(fc.key, l.worker)
 		if peer == "" {
-			s.co.leases.grant(l.hash, l.worker, time.Now())
+			s.leases.grant(l.hash, l.worker, time.Now())
 			continue
 		}
 		fc.home = peer
@@ -1034,10 +940,10 @@ func (s *sweepRun) requeueExpired(lapsed []cellLease) int {
 
 // activePeerLocked picks the worker a lapsed lease's cell moves to: the
 // cell's ring owner unless that is the holder or not active, else the
-// first other active ring member by name; "" when there is none. Callers
-// hold s.mu.
+// first other active worker by name; "" when there is none. Callers hold
+// s.mu.
 func (s *sweepRun) activePeerLocked(key, holder string) string {
-	for _, w := range append([]string{s.ring.Owner(key)}, s.ring.Workers()...) {
+	for _, w := range append([]string{s.co.ring.Owner(key)}, s.co.ring.Workers()...) {
 		if rw := s.workers[w]; w != holder && rw != nil && rw.status == runActive {
 			return w
 		}
@@ -1046,30 +952,13 @@ func (s *sweepRun) activePeerLocked(key, holder string) string {
 }
 
 // requeue puts one cell back onto its ring owner's queue, without a home:
-// the failing worker's own under suspicion (it still holds the arc), a
-// survivor's after a death — the latter counts as a re-shard.
-func (s *sweepRun) requeue(from string, fc *fleetCell) {
+// a suspect owner's queue is open to stealing.
+func (s *sweepRun) requeue(fc *fleetCell) {
 	s.mu.Lock()
-	if s.ring.Len() == 0 {
-		s.fatalLocked(errors.New("fleet: all workers lost"))
-		s.mu.Unlock()
-		return
-	}
 	fc.home = ""
-	owner := s.ring.Owner(fc.key)
+	owner := s.co.ring.Owner(fc.key)
 	s.queues[owner] = append(s.queues[owner], fc)
-	if owner != from {
-		s.co.resharded.Inc()
-	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// fatalLocked records a fatal error with s.mu held.
-func (s *sweepRun) fatalLocked(err error) {
-	if s.fatal == nil {
-		s.fatal = err
-	}
 	s.cond.Broadcast()
 }
 
@@ -1103,21 +992,19 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // coordReady is the coordinator's /readyz body: ready while at least one
-// worker is not dead, with the full membership picture.
+// worker is alive, with the alive and the suspect workers.
 type coordReady struct {
 	Ready   bool     `json:"ready"`
 	Workers []string `json:"workers"`
 	Suspect []string `json:"suspect,omitempty"`
-	Dead    []string `json:"dead,omitempty"`
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := coordReady{
 		Workers: c.mem.byState(StateAlive),
 		Suspect: c.mem.byState(StateSuspect),
-		Dead:    c.mem.byState(StateDead),
 	}
-	body.Ready = len(body.Workers)+len(body.Suspect) > 0
+	body.Ready = len(body.Workers) > 0
 	w.Header().Set("Content-Type", "application/json")
 	if !body.Ready {
 		w.WriteHeader(http.StatusServiceUnavailable)

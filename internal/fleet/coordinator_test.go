@@ -115,17 +115,17 @@ func TestFleetByteIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestFleetWorkerLossMidSweep kills a worker (failing dispatches and
-// failing health probes) partway through a sweep: the survivor must take
-// over its cells — stolen while it is suspect, re-sharded once it is dead —
-// the sweep must still produce the single-node bytes, and the failure
-// detector must declare the worker dead.
+// failing probes) partway through a sweep: it turns suspect, the survivor
+// must steal its cells, and the sweep must still produce the single-node
+// bytes. The lost worker stays suspect and joins the next sweep paused,
+// where the survivor steals every cell the ring gives it.
 func TestFleetWorkerLossMidSweep(t *testing.T) {
 	want := singleNodeReference(t, fleetSweepBody)
 
 	_, survivor := newFleetWorker(t, server.Options{})
 
 	// The doomed worker serves real sweeps until tripped, then fails
-	// everything — including /healthz, so the coordinator declares it dead.
+	// everything — including /healthz and /readyz, so it stays suspect.
 	doomedSrv, err := server.New(server.Options{Execute: coordFakeExecute, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,6 @@ func TestFleetWorkerLossMidSweep(t *testing.T) {
 		Workers:           []string{survivor.URL, doomed.URL},
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectMisses:     1,
-		DeadMisses:        2,
 	})
 	resp, got := postJSON(t, cts.URL, fleetSweepBody)
 	if resp.StatusCode != http.StatusOK {
@@ -160,20 +159,25 @@ func TestFleetWorkerLossMidSweep(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("post-loss response differs from single-node:\nfleet:  %s\nsingle: %s", got, want)
 	}
-	snap := co.Metrics()
-	if got := counterOrZero(snap, "fleet/cells_resharded") + counterOrZero(snap, "fleet/cells_stolen"); got == 0 {
-		t.Errorf("cells_resharded + cells_stolen = 0, want > 0 (the lost worker owned cells)")
+	stolen := counterValue(t, co.Metrics(), "fleet/cells_stolen")
+	if stolen == 0 {
+		t.Errorf("cells_stolen = 0, want > 0 (the lost worker owned cells)")
 	}
-	waitFor(t, 5*time.Second, "the doomed worker declared dead", func() bool {
-		return counterOrZero(co.Metrics(), "fleet/worker_deaths") == 1
+	waitFor(t, 5*time.Second, "the doomed worker suspect", func() bool {
+		return co.mem.state(doomed.URL) == StateSuspect
 	})
-	// The dead worker stays dead for the coordinator's next sweep.
 	resp2, got2 := postJSON(t, cts.URL, fleetSweepBody)
 	if resp2.StatusCode != http.StatusOK || !bytes.Equal(got2, want) {
 		t.Fatalf("second sweep after loss: status %d", resp2.StatusCode)
 	}
-	if got := counterValue(t, co.Metrics(), "fleet/worker_deaths"); got != 1 {
-		t.Errorf("worker_deaths after second sweep = %d, want still 1", got)
+	if got := counterValue(t, co.Metrics(), "fleet/cells_stolen"); got == stolen {
+		t.Errorf("second sweep stole nothing, want the lost worker's cells stolen")
+	}
+	if st := co.mem.state(doomed.URL); st != StateSuspect {
+		t.Errorf("lost worker after the second sweep is %v, want still suspect", st)
+	}
+	if got := counterValue(t, co.Metrics(), "fleet/suspects"); got != 1 {
+		t.Errorf("suspects = %d, want 1", got)
 	}
 }
 
@@ -364,40 +368,6 @@ func TestStealSparesOnlyActiveHomes(t *testing.T) {
 	}
 }
 
-// TestJoiningWorkerTakesOnlyUnrecordedCells: a worker admitted mid-sweep
-// takes the queued cells on its new arcs, except a cell recorded for the
-// worker that answered it, which stays where it is.
-func TestJoiningWorkerTakesOnlyUnrecordedCells(t *testing.T) {
-	const a, b = "http://a", "http://b"
-	both := NewRing(0)
-	both.Add(a)
-	both.Add(b)
-	var onB []string
-	for i := 0; len(onB) < 2; i++ {
-		if k := "cell-" + strconv.Itoa(i); both.Owner(k) == b {
-			onB = append(onB, k)
-		}
-	}
-	answered := &fleetCell{key: onB[0], home: a}
-	fresh := &fleetCell{key: onB[1]}
-	s := &sweepRun{
-		ring:    NewRing(0),
-		workers: map[string]*runWorker{a: {status: runActive}},
-		queues:  map[string][]*fleetCell{a: {answered, fresh}},
-		pending: 2,
-	}
-	s.ring.Add(a)
-	s.cond = sync.NewCond(&s.mu)
-
-	s.addWorker(b, 0) // no dispatch slots: only the queue move is under test
-	if q := s.queues[b]; len(q) != 1 || q[0] != fresh {
-		t.Errorf("joining worker's queue holds %d cells, want only the unrecorded one", len(q))
-	}
-	if q := s.queues[a]; len(q) != 1 || q[0] != answered {
-		t.Errorf("answering worker's queue holds %d cells, want only its recorded one", len(q))
-	}
-}
-
 // TestAnswerRecordDropsWholeAtBound: the coordinator's record grows to its
 // bound, and a new hash past the bound drops every entry before it is
 // added.
@@ -445,20 +415,21 @@ func TestCellResolvesOnce(t *testing.T) {
 	}
 }
 
-// TestAnswerRecordForgetsLostWorkers: suspicion, death and revival each
-// drop a worker's entries from the answer record — it may come back at
-// the same URL without its results — and leave other workers' entries.
+// TestAnswerRecordForgetsLostWorkers: turning suspect, on dispatch
+// evidence or on missed heartbeats, drops a worker's entries from the
+// answer record — it may come back at the same URL without its results —
+// and leaves other workers' entries.
 func TestAnswerRecordForgetsLostWorkers(t *testing.T) {
 	const a, b = "http://127.0.0.1:1", "http://127.0.0.1:2"
-	co, _ := newTestCoordinator(t, CoordinatorOptions{Workers: []string{a, b}, HeartbeatInterval: time.Hour})
+	co, _ := newTestCoordinator(t, CoordinatorOptions{Workers: []string{a, b}, HeartbeatInterval: time.Hour, SuspectMisses: 1})
 	for _, step := range []struct {
 		event string
 		lose  func()
 	}{
-		{"turned suspect", func() { co.suspectWorker(a) }},
-		{"was declared dead", func() { co.declareDead(a) }},
-		{"came back from the dead", func() { co.applyProbe(context.Background(), a, true) }},
+		{"failed a dispatch", func() { co.suspectWorker(a, "dispatch failed") }},
+		{"missed a heartbeat", func() { co.applyProbe(a, false, 0) }},
 	} {
+		co.applyProbe(a, true, 1) // alive again before each step
 		co.answers.Put("on-a", a)
 		co.answers.Put("on-b", b)
 		step.lose()
@@ -623,7 +594,7 @@ func TestFleetCancellation(t *testing.T) {
 // TestSweepDeadlineSparesHealthyWorker: a worker answers 504 (its copy of
 // the sweep's deadline fired) to every dispatch and its retries, and its
 // health probe hangs until the sweep's own deadline cuts it short. The
-// sweep must end with the deadline error, evict no worker and record no
+// sweep must end with the deadline error, suspect no worker and record no
 // cell failure, and the next sweep must still dispatch to that worker.
 func TestSweepDeadlineSparesHealthyWorker(t *testing.T) {
 	var dispatches atomic.Int64
@@ -662,8 +633,8 @@ func TestSweepDeadlineSparesHealthyWorker(t *testing.T) {
 		}
 	}
 	snap := co.Metrics()
-	if got := counterOrZero(snap, "fleet/worker_deaths"); got != 0 {
-		t.Errorf("worker_deaths = %d, want 0", got)
+	if got := counterOrZero(snap, "fleet/suspects"); got != 0 {
+		t.Errorf("suspects = %d, want 0", got)
 	}
 	if got := counterOrZero(snap, "fleet/cells_failed"); got != 0 {
 		t.Errorf("cells_failed = %d, want 0", got)

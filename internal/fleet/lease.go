@@ -10,9 +10,11 @@ import (
 // in-flight cell was handed to and until when that grant is exclusive. An
 // expired lease marks its cell safely re-dispatchable: the holder is hung,
 // or its admission slots are held by other tenants, and per-key result
-// dedupe makes a double execution harmless anyway. The table lives only in
-// memory: a coordinator's death cancels its dispatches at the workers, so
-// its leases would name work no worker is doing.
+// dedupe makes a double execution harmless anyway. Each sweep holds its
+// own table, so two sweeps that share a cell never replace or release each
+// other's lease on it. The table lives only in memory: a coordinator's
+// death cancels its dispatches at the workers, so its leases would name
+// work no worker is doing.
 //
 // A nil *leaseTable is a valid no-op table — leasing off (LeaseTTL 0)
 // costs the dispatch path nothing.

@@ -194,6 +194,74 @@ func TestLapsedLeaseSkipsHolder(t *testing.T) {
 	}
 }
 
+// TestConcurrentSweepsHoldTheirOwnLeases: two sweeps share a cell. Sweep
+// A dispatches it to its answer-affinity home, which stalls on it; sweep
+// B, posted once the home has entered the cell, has it on record for the
+// other worker, which answers at once. B's dispatch and answer must leave
+// A's lease alone, so A's lease lapses and A finishes on the peer long
+// before the stall ends. Both answer with single-node bytes.
+func TestConcurrentSweepsHoldTheirOwnLeases(t *testing.T) {
+	const (
+		bodyA = `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[11]}`
+		bodyB = `{"org":"cameo","benchmarks":["milc"],"sweep":"seed","values":[11,12]}`
+		stall = 3 * time.Second
+	)
+	wantA, wantB := singleNodeReference(t, bodyA), singleNodeReference(t, bodyB)
+
+	entered := make(chan struct{})
+	var enterOnce sync.Once
+	stallExec := func(ctx context.Context, j runner.Job) system.Result {
+		if j.Cfg.Seed == 11 {
+			enterOnce.Do(func() { close(entered) })
+			select {
+			case <-time.After(stall):
+			case <-ctx.Done():
+			}
+		}
+		return coordFakeExecute(ctx, j)
+	}
+	_, home := newFleetWorker(t, server.Options{Execute: stallExec, CacheDir: t.TempDir()})
+	_, peer := newFleetWorker(t, server.Options{CacheDir: t.TempDir()})
+	co, cts := newTestCoordinator(t, CoordinatorOptions{
+		Workers:  []string{home.URL, peer.URL},
+		LeaseTTL: 100 * time.Millisecond,
+	})
+	req, err := sweepapi.DecodeRequest(strings.NewReader(bodyA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sweepapi.BuildGrid(req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := grid.Jobs[0].Hash()
+
+	co.answers.Put(shared, home.URL)
+	start := time.Now()
+	doneA := postAsync(cts.URL, bodyA)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sweep A's home never entered the shared cell")
+	}
+	co.answers.Put(shared, peer.URL)
+	gotB := <-postAsync(cts.URL, bodyB)
+	if gotB.status != http.StatusOK || !bytes.Equal(gotB.body, wantB) {
+		t.Fatalf("sweep B: status %d, identical=%v: %s", gotB.status, bytes.Equal(gotB.body, wantB), gotB.body)
+	}
+	gotA := <-doneA
+	elapsed := time.Since(start)
+	if gotA.status != http.StatusOK || !bytes.Equal(gotA.body, wantA) {
+		t.Fatalf("sweep A: status %d, identical=%v: %s", gotA.status, bytes.Equal(gotA.body, wantA), gotA.body)
+	}
+	if elapsed > stall/2 {
+		t.Errorf("sweep A took %s, want well under its home's %s stall: sweep B took over A's lease", elapsed, stall)
+	}
+	if expired := counterOrZero(co.Metrics(), "fleet/leases_expired"); expired == 0 {
+		t.Error("leases_expired = 0 — sweep A's lease never lapsed")
+	}
+}
+
 // TestRequeueExpiredPicksActivePeer drives requeueExpired directly. A
 // lapsed cell moves to the holder's active peer, which becomes its home,
 // never to the holder or a paused suspect, and the holder's queued cells
@@ -201,10 +269,14 @@ func TestLapsedLeaseSkipsHolder(t *testing.T) {
 // queued nowhere, on a fresh lease.
 func TestRequeueExpiredPicksActivePeer(t *testing.T) {
 	const holder, suspect, peer = "http://holder:1", "http://suspect:1", "http://peer:1"
+	ring := NewRing(0)
+	for _, w := range []string{holder, suspect, peer} {
+		ring.Add(w)
+	}
 	newRun := func(peerStatus runStatus) (s *sweepRun, stuck, held *fleetCell) {
 		s = &sweepRun{
-			co:   &Coordinator{leases: newLeaseTable(time.Minute)},
-			ring: NewRing(0),
+			co:     &Coordinator{ring: ring},
+			leases: newLeaseTable(time.Minute),
 			workers: map[string]*runWorker{
 				holder:  {status: runActive},
 				suspect: {status: runPaused},
@@ -215,9 +287,6 @@ func TestRequeueExpiredPicksActivePeer(t *testing.T) {
 			pending: 2,
 		}
 		s.cond = sync.NewCond(&s.mu)
-		for w := range s.workers {
-			s.ring.Add(w)
-		}
 		stuck = &fleetCell{key: "stuck", hash: "h-stuck", home: holder}
 		held = &fleetCell{key: "held", hash: "h-held", home: holder}
 		s.byHash[stuck.hash], s.byHash[held.hash] = stuck, held
@@ -246,7 +315,7 @@ func TestRequeueExpiredPicksActivePeer(t *testing.T) {
 			t.Fatalf("lapsed cell queued on %s with no active peer", w)
 		}
 	}
-	if got := s.co.leases.expired(time.Now().Add(time.Minute)); len(got) != 1 || got[0].worker != holder {
+	if got := s.leases.expired(time.Now().Add(time.Minute)); len(got) != 1 || got[0].worker != holder {
 		t.Fatalf("leases after a lapse with no active peer = %+v, want one re-granted to the holder", got)
 	}
 }
@@ -414,7 +483,7 @@ func TestResolvedSweepCancelsStragglers(t *testing.T) {
 		return counterOrZero(h.stalled.Metrics(), "server/cancelled") >= 1
 	})
 	snap := h.co.Metrics()
-	for _, name := range []string{"fleet/cells_failed", "fleet/suspects", "fleet/worker_deaths"} {
+	for _, name := range []string{"fleet/cells_failed", "fleet/suspects"} {
 		if got := counterOrZero(snap, name); got != 0 {
 			t.Errorf("%s = %d, want 0", name, got)
 		}

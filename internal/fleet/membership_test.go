@@ -1,177 +1,117 @@
 package fleet
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cameo/internal/metrics"
+	"cameo/internal/sweepapi"
 )
 
-// TestMembershipLifecycle walks one worker through the full detector
-// state machine: alive → suspect (after suspectMisses), → dead (after
-// deadMisses), → alive again via a successful probe — the false-death
-// path — asserting the transition the coordinator must act on at each
-// step.
+// TestMembershipLifecycle walks one worker through the two-state detector:
+// alive → suspect after suspectMisses consecutive misses, suspect however
+// many misses follow, alive again on the first ready probe; and suspect at
+// once on out-of-band evidence.
 func TestMembershipLifecycle(t *testing.T) {
-	m := newMembership(2, 4, time.Second, 1, nil)
-	m.admit("http://w:1")
-	if st := m.state("http://w:1"); st != StateAlive {
-		t.Fatalf("state after join = %v, want alive", st)
+	const w = "http://w:1"
+	m := newMembership(2, nil)
+	m.admit(w)
+	if st := m.state(w); st != StateAlive {
+		t.Fatalf("state after admission = %v, want alive", st)
 	}
+	probe := func(what string, ready bool, want MemberState, wantChanged bool) {
+		t.Helper()
+		if st, changed := m.probeResult(w, ready); st != want || changed != wantChanged {
+			t.Fatalf("%s: state %v (changed %v), want %v (changed %v)", what, st, changed, want, wantChanged)
+		}
+	}
+	probe("first miss", false, StateAlive, false)
+	probe("a ready answer between misses", true, StateAlive, false)
+	probe("first miss again", false, StateAlive, false)
+	probe("second consecutive miss", false, StateSuspect, true)
+	for i := 0; i < 20; i++ {
+		probe("a miss while suspect", false, StateSuspect, false)
+	}
+	probe("a ready answer while suspect", true, StateAlive, true)
 
-	// One miss: still alive (below the suspicion threshold).
-	if tr := m.probeResult("http://w:1", false); tr != transNone {
-		t.Fatalf("miss 1 = %v, want transNone", tr)
+	if !m.suspect(w) {
+		t.Fatal("out-of-band evidence did not turn an alive worker suspect")
 	}
-	if st := m.state("http://w:1"); st != StateAlive {
-		t.Fatalf("state after 1 miss = %v, want alive", st)
+	if m.suspect(w) {
+		t.Fatal("out-of-band evidence turned a suspect suspect again")
 	}
-
-	// Second consecutive miss: suspect.
-	if tr := m.probeResult("http://w:1", false); tr != transSuspected {
-		t.Fatalf("miss 2 = %v, want transSuspected", tr)
-	}
-	if st := m.state("http://w:1"); st != StateSuspect {
-		t.Fatalf("state = %v, want suspect", st)
-	}
-	// A suspect still holds ring arcs.
-	if got := m.ringMembers(); len(got) != 1 {
-		t.Fatalf("ringMembers with a suspect = %v, want the suspect kept", got)
-	}
-
-	// Recovery before the window elapses: back to alive, no re-shard.
-	if tr := m.probeResult("http://w:1", true); tr != transRecovered {
-		t.Fatalf("recovery = %v, want transRecovered", tr)
-	}
-
-	// Now drive it all the way to dead: misses 1..4.
-	for i := 0; i < 3; i++ {
-		m.probeResult("http://w:1", false)
-	}
-	if st := m.state("http://w:1"); st != StateSuspect {
-		t.Fatalf("state after 3 misses = %v, want suspect", st)
-	}
-	if tr := m.probeResult("http://w:1", false); tr != transDied {
-		t.Fatalf("miss 4 = %v, want transDied", tr)
-	}
-	if got := m.ringMembers(); len(got) != 0 {
-		t.Fatalf("ringMembers with a dead worker = %v, want empty", got)
-	}
-
-	// The dead are still probed; an answer is a false death and re-admits.
-	if tr := m.probeResult("http://w:1", true); tr != transRevived {
-		t.Fatalf("post-death answer = %v, want transRevived", tr)
-	}
-	if st := m.state("http://w:1"); st != StateAlive {
-		t.Fatalf("state after revival = %v, want alive", st)
+	probe("a ready answer after out-of-band suspicion", true, StateAlive, true)
+	if st := m.state("http://never-admitted:1"); st != StateSuspect {
+		t.Fatalf("unknown worker's state = %v, want suspect (nothing is dispatched to it)", st)
 	}
 }
 
-// TestMembershipRejoin: admitting a dead worker again leaves it dead — only
-// a successful probe re-admits it, as a fresh member, which counts as a
-// join and a false death.
-func TestMembershipRejoin(t *testing.T) {
-	reg := metrics.NewRegistry()
-	m := newMembership(1, 2, time.Second, 1, reg.Scope("fleet"))
-	m.admit("http://w:1")
-	m.probeResult("http://w:1", false) // suspect (threshold 1)
-	m.probeResult("http://w:1", false) // dead (threshold 2)
-	if st := m.state("http://w:1"); st != StateDead {
-		t.Fatalf("state = %v, want dead", st)
-	}
-	m.admit("http://w:1")
-	if st := m.state("http://w:1"); st != StateDead {
-		t.Fatalf("state after admitting a dead worker = %v, want still dead", st)
-	}
-	if tr := m.probeResult("http://w:1", true); tr != transRevived {
-		t.Fatalf("probe answer from a dead worker = %v, want transRevived", tr)
-	}
-	snap := reg.Snapshot()
-	if got := counterOrZero(snap, "fleet/joins"); got != 2 {
-		t.Errorf("joins = %d, want 2 (the admission and the revival)", got)
-	}
-	if got := counterOrZero(snap, "fleet/false_deaths"); got != 1 {
-		t.Errorf("false_deaths = %d, want 1", got)
-	}
-}
-
-// TestMembershipSuspectRecoverIsNotARejoin: the partition-drill
-// invariant — a suspect that answers again is neither a death nor a
-// re-join, so a blip shorter than the suspicion window moves no cell.
+// TestMembershipSuspectRecoverIsNotARejoin: a suspect that answers again
+// is the same member it was, with its misses reset — one more miss does
+// not turn it suspect again — and the blip counts one suspicion.
 func TestMembershipSuspectRecoverIsNotARejoin(t *testing.T) {
+	const w = "http://w:1"
 	reg := metrics.NewRegistry()
-	m := newMembership(2, 6, time.Second, 1, reg.Scope("fleet"))
-	m.admit("http://w:1")
-	m.probeResult("http://w:1", false)
-	if tr := m.probeResult("http://w:1", false); tr != transSuspected {
-		t.Fatalf("second miss = %v, want transSuspected", tr)
+	m := newMembership(2, reg.Scope("fleet"))
+	m.admit(w)
+	m.probeResult(w, false)
+	if st, changed := m.probeResult(w, false); st != StateSuspect || !changed {
+		t.Fatalf("second miss: state %v (changed %v), want suspect (changed)", st, changed)
 	}
-	if tr := m.probeResult("http://w:1", true); tr != transRecovered {
-		t.Fatalf("answer from a suspect = %v, want transRecovered", tr)
+	if st, changed := m.probeResult(w, true); st != StateAlive || !changed {
+		t.Fatalf("answer from a suspect: state %v (changed %v), want alive (changed)", st, changed)
 	}
-	snap := reg.Snapshot()
-	if got := counterOrZero(snap, "fleet/joins"); got != 1 {
-		t.Errorf("suspect→recover moved joins to %d, want 1 (the admission only)", got)
+	m.admit(w) // re-admitting a known worker changes nothing
+	if st, _ := m.probeResult(w, false); st != StateAlive {
+		t.Fatalf("one miss after recovery: state %v, want alive (the misses reset)", st)
 	}
-	if got := counterOrZero(snap, "fleet/false_deaths"); got != 0 {
-		t.Errorf("false_deaths = %d, want 0", got)
+	if got := counterOrZero(reg.Snapshot(), "fleet/suspects"); got != 1 {
+		t.Errorf("suspects = %d, want 1", got)
 	}
 }
 
-// TestMembershipDue: alive members are probed every tick; suspects only
-// once their backoff elapses; dead members on their slow cadence.
+// TestMembershipDue: the heartbeat probes every roster worker's /readyz
+// every tick: a suspect as often as an alive worker, so a suspect that is
+// ready again is found within one tick however long it was away, and
+// neither waits for a worker whose probe hangs until the probe timeout.
 func TestMembershipDue(t *testing.T) {
-	m := newMembership(1, 3, time.Second, 1, nil)
-	m.admit("http://a:1")
-	m.admit("http://b:1")
-	now := time.Now()
-	if got := m.due(now); len(got) != 2 {
-		t.Fatalf("due with two alive = %v, want both", got)
+	readyz := func(probes *atomic.Int64, ready bool) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/readyz" {
+				http.NotFound(w, r)
+				return
+			}
+			probes.Add(1)
+			if !ready {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+			json.NewEncoder(w).Encode(sweepapi.ReadyState{Ready: ready, MaxInflight: 1}) //nolint:errcheck
+		}))
+		t.Cleanup(srv.Close)
+		return srv
 	}
-	m.probeResult("http://a:1", false) // a: suspect, backoff ~1s from now
-	if got := m.due(now); len(got) != 1 || got[0] != "http://b:1" {
-		t.Fatalf("due right after suspicion = %v, want only b", got)
-	}
-	if got := m.due(now.Add(3 * time.Second)); len(got) != 2 {
-		t.Fatalf("due after backoff = %v, want both", got)
-	}
-}
-
-// TestJitterSeedReplayable pins the chaos-seed wiring of the probe jitter:
-// the same seed reproduces the exact jitter stream (drills replay), while
-// distinct seeds decorrelate into distinct probe timings.
-func TestJitterSeedReplayable(t *testing.T) {
-	draw := func(seed uint64) []time.Duration {
-		m := newMembership(2, 4, time.Second, seed, nil)
-		out := make([]time.Duration, 16)
-		for i := range out {
-			out[i] = m.jittered(time.Second)
-		}
-		return out
-	}
-	a, b := draw(7), draw(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := draw(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 produced identical jitter streams")
-	}
-	// Seed 0 must alias the historical default stream, not panic or zero out.
-	z := draw(0)
-	o := draw(1)
-	for i := range z {
-		if z[i] != o[i] {
-			t.Fatalf("seed 0 did not alias seed 1 at draw %d", i)
-		}
+	var aliveProbes, suspectProbes atomic.Int64
+	a, b := readyz(&aliveProbes, true), readyz(&suspectProbes, false)
+	hung := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	t.Cleanup(hung.Close)
+	co, _ := newTestCoordinator(t, CoordinatorOptions{
+		Workers:           []string{a.URL, b.URL, hung.URL},
+		HeartbeatInterval: 10 * time.Millisecond,
+		SuspectMisses:     1,
+	})
+	waitFor(t, 5*time.Second, "the unready worker to turn suspect", func() bool {
+		return co.mem.state(b.URL) == StateSuspect
+	})
+	a0, b0 := aliveProbes.Load(), suspectProbes.Load()
+	time.Sleep(300 * time.Millisecond)
+	da, db := aliveProbes.Load()-a0, suspectProbes.Load()-b0
+	if da < 5 || 2*db < da {
+		t.Fatalf("in 300 ms the alive worker was probed %d times and the suspect %d, want both about 30", da, db)
 	}
 }

@@ -1,15 +1,17 @@
 // Package fleet scales the sweep service from one cameod to many: a
-// coordinator shards sweep cells across registered workers by consistent
-// hashing of the canonical cell key, work-steals stragglers off slow
-// workers, re-shards the cells of lost workers, and lets every worker
-// consult its peers' result caches before recomputing a cell — so the
-// fleet computes each cell at most once, and the merged report is
-// byte-identical to a single-node run at any worker count.
+// coordinator shards sweep cells across a fixed roster of workers by
+// consistent hashing of the canonical cell key, work-steals stragglers off
+// slow or suspect workers, and lets every worker consult its peers' result
+// caches before recomputing a cell — so the fleet computes each cell at
+// most once, and the merged report is byte-identical to a single-node run
+// at any worker count.
 //
 // The sharding idiom follows Chang et al. (arXiv 1602.00722): a hash ring
-// with virtual nodes, chosen precisely because membership changes remap
-// only ~1/N of the keys — a worker joining or dying must not reshuffle the
-// whole grid (which would defeat every worker-local cache).
+// with virtual nodes, chosen because a roster edit between two coordinator
+// runs remaps only ~1/N of the keys, so the workers' caches stay warm
+// across it. Within a coordinator's life the ring never changes: like
+// CAMEO's congruence groups, it fixes where each cell belongs, and
+// liveness decides only which worker serves it.
 package fleet
 
 import (
@@ -35,7 +37,8 @@ type ringPoint struct {
 // It is deterministic across processes and platforms: positions come from
 // SHA-256, membership is kept sorted, and lookups are pure — two
 // coordinators with the same membership agree on every cell's owner.
-// Ring is not safe for concurrent mutation; the coordinator guards it.
+// Ring is not safe for concurrent mutation; the coordinator builds it once
+// and only reads it after that.
 type Ring struct {
 	vnodes  int
 	points  []ringPoint // sorted by pos
@@ -80,22 +83,6 @@ func (r *Ring) Add(worker string) {
 	})
 }
 
-// Remove deregisters a worker. Only the keys it owned move (to their next
-// surviving successor on the ring); every other key keeps its owner.
-func (r *Ring) Remove(worker string) {
-	if !r.workers[worker] {
-		return
-	}
-	delete(r.workers, worker)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.worker != worker {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Owner returns the worker owning a key: the first virtual node at or
 // clockwise after the key's position. Empty string when the ring is empty.
 func (r *Ring) Owner(key string) string {
@@ -110,7 +97,7 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].worker
 }
 
-// Workers returns the live membership, sorted.
+// Workers returns the registered workers, sorted.
 func (r *Ring) Workers() []string {
 	out := make([]string, 0, len(r.workers))
 	for w := range r.workers {
@@ -119,6 +106,3 @@ func (r *Ring) Workers() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the number of registered workers.
-func (r *Ring) Len() int { return len(r.workers) }

@@ -24,8 +24,8 @@ func workerNames(n int) []string {
 }
 
 // TestRingDeterministicAcrossConstructionOrder proves two coordinators
-// (two processes) with the same membership agree on every cell's owner,
-// however they happened to learn about the workers.
+// (two processes) with the same roster agree on every cell's owner,
+// whatever order the roster lists the workers in.
 func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	workers := workerNames(5)
 	a := NewRing(64)
@@ -36,18 +36,9 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	for i := len(workers) - 1; i >= 0; i-- {
 		b.Add(workers[i])
 	}
-	// c reaches the same membership through churn.
-	c := NewRing(64)
-	c.Add("http://transient:1")
-	for _, w := range workers {
-		c.Add(w)
-	}
-	c.Remove("http://transient:1")
-
 	for _, k := range ringKeys(2000) {
-		oa, ob, oc := a.Owner(k), b.Owner(k), c.Owner(k)
-		if oa != ob || oa != oc {
-			t.Fatalf("owner of %q diverges: add-order %q, reverse-order %q, churned %q", k, oa, ob, oc)
+		if oa, ob := a.Owner(k), b.Owner(k); oa != ob {
+			t.Fatalf("owner of %q diverges: add-order %q, reverse-order %q", k, oa, ob)
 		}
 	}
 }
@@ -75,10 +66,11 @@ func TestRingGoldenOwners(t *testing.T) {
 	}
 }
 
-// TestRingRemapBoundOnJoin checks the consistent-hashing contract: adding
-// a worker to an N-ring moves roughly 1/(N+1) of the keys, never wildly
-// more, and every moved key moves TO the new worker — no collateral
-// shuffling between old workers.
+// TestRingRemapBoundOnJoin checks the consistent-hashing contract that a
+// roster edit between two coordinator runs leans on: adding a worker to an
+// N-ring moves roughly 1/(N+1) of the keys, never wildly more, and every
+// moved key moves TO the new worker — no collateral shuffling between old
+// workers.
 func TestRingRemapBoundOnJoin(t *testing.T) {
 	keys := ringKeys(4000)
 	for _, n := range []int{2, 3, 5, 8} {
@@ -117,47 +109,6 @@ func TestRingRemapBoundOnJoin(t *testing.T) {
 	}
 }
 
-// TestRingRemapBoundOnLeave is the mirror: removing a worker moves only
-// the keys it owned, and each lands on a surviving worker.
-func TestRingRemapBoundOnLeave(t *testing.T) {
-	keys := ringKeys(4000)
-	for _, n := range []int{2, 3, 5, 8} {
-		workers := workerNames(n)
-		r := NewRing(DefaultVirtualNodes)
-		for _, w := range workers {
-			r.Add(w)
-		}
-		before := map[string]string{}
-		for _, k := range keys {
-			before[k] = r.Owner(k)
-		}
-		lost := workers[0]
-		ownedByLost := 0
-		for _, k := range keys {
-			if before[k] == lost {
-				ownedByLost++
-			}
-		}
-		r.Remove(lost)
-		moved := 0
-		for _, k := range keys {
-			after := r.Owner(k)
-			if after == lost {
-				t.Fatalf("n=%d: key %q still owned by removed worker", n, k)
-			}
-			if after != before[k] {
-				moved++
-				if before[k] != lost {
-					t.Fatalf("n=%d: key %q moved %q → %q though its owner survived", n, k, before[k], after)
-				}
-			}
-		}
-		if moved != ownedByLost {
-			t.Errorf("n=%d: %d keys moved but the lost worker owned %d — exactly its keys must move", n, moved, ownedByLost)
-		}
-	}
-}
-
 // TestRingDistribution checks the virtual nodes spread load evenly enough
 // at several fleet sizes: every worker's share within 2x of ideal (128
 // vnodes keeps the real spread far tighter; 2x catches a broken hash).
@@ -184,8 +135,8 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
-// TestRingEdgeCases covers the empty ring, idempotent add, and removal of
-// an unknown worker.
+// TestRingEdgeCases covers the empty ring, idempotent add, and a
+// one-worker ring.
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(0) // default vnodes
 	if got := r.Owner("anything"); got != "" {
@@ -193,86 +144,13 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	r.Add("http://w:1")
 	r.Add("http://w:1") // idempotent
-	if r.Len() != 1 {
-		t.Fatalf("Len after duplicate add = %d, want 1", r.Len())
+	if got := r.Workers(); len(got) != 1 {
+		t.Fatalf("workers after duplicate add = %v, want 1", got)
 	}
 	if len(r.points) != DefaultVirtualNodes {
 		t.Fatalf("duplicate add doubled vnodes: %d points", len(r.points))
 	}
-	r.Remove("http://never-added:1")
-	if r.Len() != 1 {
-		t.Fatalf("removing unknown worker changed membership")
-	}
 	if got := r.Owner("k"); got != "http://w:1" {
 		t.Fatalf("single-worker ring owner = %q", got)
-	}
-	r.Remove("http://w:1")
-	if r.Len() != 0 || len(r.points) != 0 {
-		t.Fatalf("ring not empty after removing last worker")
-	}
-}
-
-// TestRingAddRemoveRestoresAssignment is the membership-churn inverse
-// property the self-healing fleet leans on: a worker that joins and then
-// leaves (or dies and is re-sharded away) leaves the ring exactly where
-// it started — every key's owner is restored bit-for-bit, so a bounded
-// membership excursion (join→leave, or death→rejoin→death) can never
-// permanently skew placement. Checked at N ∈ {2,3,5,8} incumbents, and
-// in both orders (add-then-remove and remove-then-re-add), with the
-// moved-key count on each edge within the 2× ideal-share bound.
-func TestRingAddRemoveRestoresAssignment(t *testing.T) {
-	keys := ringKeys(4000)
-	for _, n := range []int{2, 3, 5, 8} {
-		workers := workerNames(n + 1)
-		r := NewRing(DefaultVirtualNodes)
-		for _, w := range workers[:n] {
-			r.Add(w)
-		}
-		before := map[string]string{}
-		for _, k := range keys {
-			before[k] = r.Owner(k)
-		}
-
-		// Excursion 1: transient joiner. Add, bound the churn, remove,
-		// demand exact restoration.
-		transient := workers[n]
-		r.Add(transient)
-		moved := 0
-		for _, k := range keys {
-			if r.Owner(k) != before[k] {
-				moved++
-			}
-		}
-		ideal := len(keys) / (n + 1)
-		if moved > 2*ideal {
-			t.Errorf("n=%d: transient join moved %d keys, want ≲ %d", n, moved, 2*ideal)
-		}
-		r.Remove(transient)
-		for _, k := range keys {
-			if got := r.Owner(k); got != before[k] {
-				t.Fatalf("n=%d: after add+remove of %q, key %q owned by %q, want %q (prior assignment not restored)",
-					n, transient, k, got, before[k])
-			}
-		}
-
-		// Excursion 2: an incumbent dies and re-joins. Same demand.
-		victim := workers[0]
-		r.Remove(victim)
-		movedOut := 0
-		for _, k := range keys {
-			if r.Owner(k) != before[k] {
-				movedOut++
-			}
-		}
-		if idealShare := len(keys) / n; movedOut > 2*idealShare {
-			t.Errorf("n=%d: death of %q moved %d keys, want ≲ %d", n, victim, movedOut, 2*idealShare)
-		}
-		r.Add(victim)
-		for _, k := range keys {
-			if got := r.Owner(k); got != before[k] {
-				t.Fatalf("n=%d: after remove+re-add of %q, key %q owned by %q, want %q (re-join must restore the dead worker's arcs exactly)",
-					n, victim, k, got, before[k])
-			}
-		}
 	}
 }

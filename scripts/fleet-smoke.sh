@@ -3,18 +3,17 @@
 # workers with cross-wired peer caches. Asserts that
 #   (a) the fleet's merged report is byte-identical to a single-node run,
 #   (b) SIGKILL-ing a worker mid-sweep turns it suspect, the survivor
-#       steals its queued cells (its death comes later) and the sweep
-#       still completes byte-identically,
+#       steals its queued cells and the sweep still completes
+#       byte-identically,
 #   (c) a second fleet run of the same sweep recomputes nothing — the
 #       workers' cells_executed counters do not move,
-#   (d) a worker SIGKILLed mid-sweep is declared dead by the failure
-#       detector and, once restarted, re-admitted by its probe; a repeat
+#   (d) a worker SIGKILLed mid-sweep turns suspect and, once restarted,
+#       is alive again at the failure detector's next probe; a repeat
 #       sweep then recomputes nothing,
 #   (e) a coordinator SIGKILLed mid-sweep and restarted at the same
 #       address answers the re-posted sweep byte-identically,
-#   (f) a heartbeat partition shorter than the suspicion window turns a
-#       worker suspect and back with zero deaths, false deaths and
-#       re-sharded cells,
+#   (f) a heartbeat partition turns a worker suspect and back to alive,
+#       with no failed cell and a byte-identical sweep after it,
 #   (g) of two coordinators over the same workers, SIGKILL-ing one
 #       mid-sweep and re-posting to the other gives the same bytes.
 # In (e) and (g) the workers simulate each of the sweep's 16 cells exactly
@@ -121,7 +120,7 @@ grep -q "worker http://$w1_addr suspect" "$workdir/co.log" || {
 
 echo "fleet smoke test passed"
 
-# === Membership drills: failure detector, probe re-admission, ============
+# === Membership drills: failure detector, recovery on a ready probe, =====
 # === coordinator loss, and a bounded heartbeat partition. =================
 # A fresh fleet whose coordinator probes every 100 ms, so the detector's
 # verdicts land within the drills.
@@ -147,7 +146,7 @@ executed() { # summed cells_executed of w3 and w4
 start_coordinator() { # addr logfile
   "$workdir/cameod" -addr "$1" -coordinator \
     -workers "http://$w3_addr,http://$w4_addr" \
-    -heartbeat 100ms -suspect-misses 1 -dead-misses 3 2>"$2" &
+    -heartbeat 100ms -suspect-misses 1 2>"$2" &
   pids+=("$!")
   wait_healthy "http://$1" "$2"
 }
@@ -180,7 +179,7 @@ w4pid=${pids[-1]}
 start_coordinator "$co2_addr" "$workdir/co2.log"
 co2pid=${pids[-1]}
 
-# --- (d) SIGKILL a worker mid-sweep; a probe re-admits its restart. --------
+# --- (d) SIGKILL a worker mid-sweep; a probe finds its restart ready. ------
 d1sweep='{"org":"cameo","benchmarks":["sphinx3","milc","gcc","mcf"],"sweep":"seed","values":[11,12,13,14],"instr":2000000,"cores":4}'
 curl -fsS -X POST -d "$d1sweep" "http://$ref_addr/sweep" -o "$workdir/reference-d1.json"
 curl -sS -X POST -d "$d1sweep" "http://$co2_addr/sweep" -o "$workdir/fleet-d1.json" &
@@ -189,33 +188,34 @@ sleep 0.4
 kill -KILL "$w4pid" 2>/dev/null || true
 wait "$curlpid"
 cmp "$workdir/reference-d1.json" "$workdir/fleet-d1.json" || {
-  echo "sweep across a worker death differs from single-node reference"
+  echo "sweep across a worker loss differs from single-node reference"
   cat "$workdir/co2.log"; exit 1; }
 
-# The failure detector walks the dead worker through suspect -> dead...
-wait_metric_ge "http://$co2_addr" fleet/worker_deaths 1 || { cat "$workdir/co2.log"; exit 1; }
-# ...and once the worker restarts, the detector's slow dead-probe reaches it
-# and re-admits it as a fresh member.
+# The failure detector turns the killed worker suspect...
+wait_metric_ge "http://$co2_addr" fleet/suspects 1 || { cat "$workdir/co2.log"; exit 1; }
+# ...and once the worker restarts, the next heartbeat finds it ready and
+# it is alive again.
 "$workdir/cameod" -addr "$w4_addr" -cachedir "$workdir/w4-cache" \
   -peers "http://$w3_addr" -jobs 2 -max-inflight 2 \
   2>"$workdir/w4b.log" &
 pids+=("$!")
 wait_healthy "http://$w4_addr" "$workdir/w4b.log"
+recovered="worker http://$w4_addr ready again"
 for _ in $(seq 1 50); do
-  grep -q "returned from the dead" "$workdir/co2.log" && break
+  grep -q "$recovered" "$workdir/co2.log" && break
   sleep 0.1
 done
-grep -q "returned from the dead" "$workdir/co2.log" || {
-  echo "coordinator log has no re-admission line"; cat "$workdir/co2.log"; exit 1; }
+grep -q "$recovered" "$workdir/co2.log" || {
+  echo "coordinator log has no recovery line"; cat "$workdir/co2.log"; exit 1; }
 
-# Already-cached cells are not recomputed on the re-admitted fleet: a
-# repeat of the same sweep moves no cells_executed counter anywhere.
+# Already-cached cells are not recomputed on the recovered fleet: a repeat
+# of the same sweep moves no cells_executed counter anywhere.
 before=$(executed)
 curl -fsS -X POST -d "$d1sweep" "http://$co2_addr/sweep" -o "$workdir/fleet-d1b.json"
 cmp "$workdir/reference-d1.json" "$workdir/fleet-d1b.json"
 after=$(executed)
 if [ "$after" -ne "$before" ]; then
-  echo "re-admitted fleet recomputed $((after - before)) already-cached cells, want 0"; exit 1
+  echo "recovered fleet recomputed $((after - before)) already-cached cells, want 0"; exit 1
 fi
 
 # --- (e) SIGKILL the coordinator mid-sweep; re-post to its restart. -------
@@ -230,14 +230,14 @@ start_coordinator "$co2_addr" "$workdir/co2b.log"
 check_repost "$d2sweep" "$workdir/reference-d2.json" "http://$co2_addr" \
   "$workdir/fleet-d2.json" "$workdir/co2b.log" "$base"
 
-# --- (f) Heartbeat partition shorter than the suspicion window. ------------
+# --- (f) A bounded heartbeat partition. ------------------------------------
 # Inject a deterministic partition that swallows the first 3 heartbeat
-# probes to w3: long enough to turn it suspect, too short to kill it. The
-# worker must return to alive with zero deaths, zero false deaths, and
-# zero re-sharded cells.
+# probes to w3: long enough to turn it suspect. The fourth probe finds it
+# ready, so it must return to alive, with no failed cell and a
+# byte-identical sweep after it.
 "$workdir/cameod" -addr "$co3_addr" -coordinator \
   -workers "http://$w3_addr,http://$w4_addr" \
-  -heartbeat 100ms -suspect-misses 2 -dead-misses 8 \
+  -heartbeat 100ms -suspect-misses 2 \
   -chaos "fleet/heartbeat:partition:match=$w3_addr:max=3" 2>"$workdir/co3.log" &
 pids+=("$!")
 wait_healthy "http://$co3_addr" "$workdir/co3.log"
@@ -247,22 +247,23 @@ for _ in $(seq 1 100); do
   ready=$(curl -fsS "http://$co3_addr/readyz" | python3 -c "
 import json, sys
 r = json.load(sys.stdin)
-print(1 if len(r.get('workers', [])) == 2 and not r.get('suspect') and not r.get('dead') else 0)")
+print(1 if len(r.get('workers', [])) == 2 and not r.get('suspect') else 0)")
   [ "$ready" = 1 ] && break
   sleep 0.1
 done
 [ "$ready" = 1 ] || { echo "partitioned worker never returned to alive"; cat "$workdir/co3.log"; exit 1; }
 
-for m in fleet/worker_deaths fleet/false_deaths fleet/cells_resharded; do
-  v=$(metric "http://$co3_addr" "$m")
-  if [ "${v%.*}" -ne 0 ]; then
-    echo "partition drill moved $m to $v, want 0"; cat "$workdir/co3.log"; exit 1
-  fi
-done
+grep -q "worker http://$w3_addr ready again" "$workdir/co3.log" || {
+  echo "coordinator log has no recovery line for the partitioned worker"; cat "$workdir/co3.log"; exit 1; }
 
-# The healed fleet still answers byte-identically (everything is cached).
+# The healed fleet still answers byte-identically (everything is cached)
+# and fails no cell.
 curl -fsS -X POST -d "$d1sweep" "http://$co3_addr/sweep" -o "$workdir/fleet-d3.json"
 cmp "$workdir/reference-d1.json" "$workdir/fleet-d3.json"
+v=$(metric "http://$co3_addr" fleet/cells_failed)
+if [ "${v%.*}" -ne 0 ]; then
+  echo "partition drill failed $v cells, want 0"; cat "$workdir/co3.log"; exit 1
+fi
 
 echo "fleet membership drills passed"
 
