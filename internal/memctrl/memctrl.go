@@ -20,11 +20,13 @@
 //
 // Hot-path layout (DESIGN.md §Performance): each bank chains its queued
 // writes and caches the pick key of the best of them, so an issue
-// rescans only the bank it changed, and choosing the next write scans one
-// cached key per bank that holds writes. Keys are totally ordered (the
-// sequence number breaks every tie), so storage order is irrelevant, and
-// all queue storage is preallocated: steady-state operation performs no
-// allocation.
+// rescans only the bank it changed. The cached keys of the banks that hold
+// writes form an indexed binary min-heap, each bank recording its entry's
+// position, so the next write is the heap's root and an issue or a new
+// write re-sifts one entry. Keys are totally ordered (the sequence number
+// breaks every tie), so the root is the write a scan of every queued write
+// would pick, and all queue storage is preallocated: steady-state operation
+// performs no allocation.
 package memctrl
 
 import (
@@ -77,7 +79,7 @@ type bankState struct {
 	busyUntil uint64
 	lastAct   uint64
 	head      int32 // first queued write of the bank; -1 when none
-	active    int32 // index of the bank's entry in Controller.active
+	active    int32 // position of the bank's entry in the Controller.active heap
 }
 
 // key is pick's ordering key for a request to row arriving at arrival on
@@ -106,8 +108,8 @@ type Controller struct {
 	buses []uint64
 
 	// Queued posted writes live in slots, chained per bank; free holds the
-	// unused slot indices, and active the best write of each bank that has
-	// one.
+	// unused slot indices, and active is a min-heap of the best write of
+	// each bank that has one.
 	slots   []write
 	free    []int32
 	active  []best
@@ -215,7 +217,7 @@ func (c *Controller) Access(at uint64, line uint64, bytes int, isWrite bool) uin
 		// Posted: drain when the queue is pressed, bounding memory use on
 		// write-heavy streams; report a nominal completion.
 		for c.writes > queueCap {
-			c.issueWrite(c.bestWrite())
+			c.issueWrite()
 		}
 		return at + c.tCAS + xfer
 	}
@@ -228,15 +230,14 @@ func (c *Controller) Access(at uint64, line uint64, bytes int, isWrite bool) uin
 	// first among writes either way.
 	b := &c.banks[bank]
 	for c.writes > 0 {
-		i := c.bestWrite()
-		w := c.active[i]
+		w := c.active[0]
 		if c.writes < writeDrainWatermark {
 			w.start += writeBias
 		}
 		if !w.before(b.key(at, row, seq)) {
 			break
 		}
-		c.issueWrite(i)
+		c.issueWrite()
 	}
 	done := c.service(b, ch, row, at, xfer)
 	if b.head >= 0 {
@@ -256,30 +257,20 @@ func (c *Controller) enqueue(bank int, w write) {
 	c.slots[slot] = w
 	start, tie := b.key(w.arrival, w.row, w.seq)
 	if b.head < 0 {
-		b.active = int32(len(c.active))
 		c.active = append(c.active, best{start: start, tie: tie, bank: int32(bank), slot: slot})
+		c.up(len(c.active) - 1)
 	} else if a := &c.active[b.active]; !a.before(start, tie) {
 		a.start, a.tie, a.slot = start, tie, slot
+		c.up(int(b.active))
 	}
 	b.head = slot
 	c.writes++
 }
 
-// bestWrite returns the index in active of the bank holding the best queued
-// write. There must be one.
-func (c *Controller) bestWrite() int {
-	bi := 0
-	for i := 1; i < len(c.active); i++ {
-		if c.active[i].before(c.active[bi].start, c.active[bi].tie) {
-			bi = i
-		}
-	}
-	return bi
-}
-
-// issueWrite issues the best write of the bank at active[i].
-func (c *Controller) issueWrite(i int) {
-	a := c.active[i]
+// issueWrite issues the best queued write, the root of active. There must
+// be one.
+func (c *Controller) issueWrite() {
+	a := c.active[0]
 	w := &c.slots[a.slot]
 	c.service(&c.banks[a.bank], int(w.ch), w.row, w.arrival, w.xfer)
 	c.writes--
@@ -288,8 +279,9 @@ func (c *Controller) issueWrite(i int) {
 }
 
 // rescan recomputes bank's cached best write after an issue changed the
-// bank's state, unlinking slot drop (when not -1) from its chain on the way.
-// A bank left without writes leaves active.
+// bank's state, unlinking slot drop (when not -1) from its chain on the way,
+// and re-sifts the bank's heap entry. A bank left without writes leaves the
+// heap: the last entry takes its place.
 func (c *Controller) rescan(bank int, drop int32) {
 	b := &c.banks[bank]
 	a := &c.active[b.active]
@@ -305,12 +297,59 @@ func (c *Controller) rescan(bank int, drop int32) {
 			a.start, a.tie, a.slot, found = start, tie, s, true
 		}
 	}
+	i, last := int(b.active), len(c.active)-1
 	if !found {
-		last := len(c.active) - 1
 		*a = c.active[last]
-		c.banks[a.bank].active = b.active
 		c.active = c.active[:last]
+		if i == last {
+			return
+		}
 	}
+	if !c.up(i) {
+		c.down(i)
+	}
+}
+
+// up sifts active[i] toward the root past every parent whose key sorts
+// after it, reporting whether it moved. Each moved entry's bank learns its
+// new position.
+func (c *Controller) up(i int) bool {
+	h, e, from := c.active, c.active[i], i
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p].start, h[p].tie) {
+			break
+		}
+		h[i] = h[p]
+		c.banks[h[i].bank].active = int32(i)
+		i = p
+	}
+	h[i] = e
+	c.banks[e.bank].active = int32(i)
+	return i != from
+}
+
+// down sifts active[i] away from the root past every child whose key sorts
+// before it.
+func (c *Controller) down(i int) {
+	h, e := c.active, c.active[i]
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m].start, h[m].tie) {
+			m = r
+		}
+		if !h[m].before(e.start, e.tie) {
+			break
+		}
+		h[i] = h[m]
+		c.banks[h[i].bank].active = int32(i)
+		i = m
+	}
+	h[i] = e
+	c.banks[e.bank].active = int32(i)
 }
 
 // service runs the bank and bus timing of one request and returns its

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,9 @@ import (
 )
 
 func testCtrl() *Controller { return New(dram.OffChipConfig(4 << 20)) }
+
+// tableI lists both Table I geometries: 8 × 8 off-chip and 16 × 16 stacked.
+var tableI = []dram.Config{dram.OffChipConfig(4 << 20), dram.StackedConfig(4 << 20)}
 
 func TestSingleReadMatchesAnalyticModel(t *testing.T) {
 	// With no queue, the controller's timing must equal dram.Module's.
@@ -208,22 +212,25 @@ func TestQueueWritesInvariantUnderPressure(t *testing.T) {
 
 // diffStream feeds n requests to access. Its phases vary the write share
 // from read-heavy to pure write bursts long enough to cross the drain
-// watermark and fill the queue to queueCap; most lines fall on a few rows
-// of a few banks, so row hits and conflicts meet on shared banks; and about
-// a third of the calls carry an earlier arrival than the call before, as
-// calls from the organizations do.
+// watermark and fill the queue to queueCap. In most phases most lines fall
+// on a few rows of a few banks, so row hits and conflicts meet on shared
+// banks; one phase in six spreads its lines uniformly at a 90% write share,
+// so writes wait on many banks at once and the heap of banks runs deep.
+// About a third of the calls carry an earlier arrival than the call
+// before, as calls from the organizations do.
 func diffStream(seed uint64, cfg dram.Config, n int, access func(at, line uint64, bytes int, write bool)) {
 	r := xrand.New(seed)
 	chans, banks := uint64(cfg.Channels), uint64(cfg.Banks)
 	linesPerRow := uint64(cfg.RowBufferBytes / dram.LineBytes)
 	var now uint64
-	writeShare := 0.3
+	writeShare, spread := 0.3, false
 	for i := 0; i < n; i++ {
 		if i%400 == 0 {
-			writeShare = []float64{0.05, 0.3, 0.6, 0.9, 1}[r.Intn(5)]
+			phase := r.Intn(6)
+			writeShare, spread = []float64{0.05, 0.3, 0.6, 0.9, 1, 0.9}[phase], phase == 5
 		}
 		line := uint64(r.Intn(1 << 20))
-		if r.Bool(0.8) {
+		if !spread && r.Bool(0.8) {
 			rowGlobal := uint64(r.Intn(4))*banks + uint64(r.Intn(3))
 			line = (rowGlobal*linesPerRow+r.Uint64n(linesPerRow))*chans + uint64(r.Intn(2))
 		}
@@ -247,13 +254,68 @@ func diffStream(seed uint64, cfg dram.Config, n int, access func(at, line uint64
 	}
 }
 
-// TestControllerMatchesLinearScanReference pins the per-bank write queue to
-// the linear-scan controller it replaced: after every Access of seeded
-// streams on both Table I geometries, the completion cycle, Stats and queue
-// counters must be identical.
+// checkHeap verifies the controller's heap of banks: no entry's key sorts
+// before its parent's, each bank's index names its own entry, and the heap
+// holds exactly the banks that have writes, each keyed by its best write.
+func checkHeap(c *Controller) error {
+	h := c.active
+	for i, e := range h {
+		if p := (i - 1) / 2; i > 0 && e.before(h[p].start, h[p].tie) {
+			return fmt.Errorf("heap entry %d (bank %d) sorts before its parent %d (bank %d)", i, e.bank, p, h[p].bank)
+		}
+		if got := c.banks[e.bank].active; got != int32(i) {
+			return fmt.Errorf("bank %d's index %d does not name its heap entry %d", e.bank, got, i)
+		}
+	}
+	n := 0
+	for bank := range c.banks {
+		b := &c.banks[bank]
+		if b.head < 0 {
+			continue
+		}
+		n++
+		var want best
+		for s := b.head; s >= 0; s = c.slots[s].next {
+			w := &c.slots[s]
+			if start, tie := b.key(w.arrival, w.row, w.seq); s == b.head || !want.before(start, tie) {
+				want = best{start: start, tie: tie, bank: int32(bank), slot: s}
+			}
+		}
+		if i := int(b.active); i >= len(h) || h[i] != want {
+			return fmt.Errorf("bank %d holds writes, best %+v, but its heap index %d does not name that entry", bank, want, i)
+		}
+	}
+	if n != len(h) {
+		return fmt.Errorf("heap holds %d entries for %d banks with writes", len(h), n)
+	}
+	return nil
+}
+
+// accessBoth makes the same Access on c and ref and reports any difference
+// in completion, Stats, queue depth, queued writes or high-water mark, or a
+// broken heap invariant in c.
+func accessBoth(c *Controller, ref *refController, at, line uint64, bytes int, write bool) error {
+	got, want := c.Access(at, line, bytes, write), ref.Access(at, line, bytes, write)
+	if got != want || c.Stats() != ref.stats || c.QueueDepth() != len(ref.queue) ||
+		c.QueuedWrites() != ref.writes || c.MaxQueueDepth() != ref.maxQueueDepth {
+		return fmt.Errorf("completion %d/%d, depth %d/%d, writes %d/%d, max depth %d/%d, stats\n%+v\n%+v",
+			got, want, c.QueueDepth(), len(ref.queue), c.QueuedWrites(), ref.writes,
+			c.MaxQueueDepth(), ref.maxQueueDepth, c.Stats(), ref.stats)
+	}
+	return checkHeap(c)
+}
+
+// TestControllerMatchesLinearScanReference pins the heap of per-bank write
+// queues to the linear-scan controller it replaced: after every Access of
+// seeded streams on both Table I geometries, the completion cycle, Stats
+// and queue counters must be identical and the heap invariants must hold.
+// The streams must reach queueCap pressure, drain-mode reads and, on the
+// 256-bank stacked geometry, a heap of at least 64 banks (a paper round's
+// picks see up to 55).
 func TestControllerMatchesLinearScanReference(t *testing.T) {
-	for _, cfg := range []dram.Config{dram.OffChipConfig(4 << 20), dram.StackedConfig(4 << 20)} {
-		for seed := uint64(1); seed <= 4; seed++ {
+	deepest := 0
+	for _, cfg := range tableI {
+		for seed := uint64(1); seed <= 8; seed++ {
 			c, ref := New(cfg), newRef(cfg)
 			n, drains := 0, 0
 			diffStream(seed, cfg, 20_000, func(at, line uint64, bytes int, write bool) {
@@ -261,12 +323,12 @@ func TestControllerMatchesLinearScanReference(t *testing.T) {
 				if !write && ref.writes >= writeDrainWatermark {
 					drains++
 				}
-				got, want := c.Access(at, line, bytes, write), ref.Access(at, line, bytes, write)
-				if got != want || c.Stats() != ref.stats || c.QueueDepth() != len(ref.queue) ||
-					c.QueuedWrites() != ref.writes || c.MaxQueueDepth() != ref.maxQueueDepth {
-					t.Fatalf("%s seed %d access %d (at %d line %d write %v): completion %d/%d, depth %d/%d, writes %d/%d, max depth %d/%d, stats\n%+v\n%+v",
-						cfg.Name, seed, n, at, line, write, got, want, c.QueueDepth(), len(ref.queue),
-						c.QueuedWrites(), ref.writes, c.MaxQueueDepth(), ref.maxQueueDepth, c.Stats(), ref.stats)
+				if err := accessBoth(c, ref, at, line, bytes, write); err != nil {
+					t.Fatalf("%s seed %d access %d (at %d line %d bytes %d write %v): %v",
+						cfg.Name, seed, n, at, line, bytes, write, err)
+				}
+				if cfg.Name == "stacked" {
+					deepest = max(deepest, len(c.active))
 				}
 			})
 			if ref.maxQueueDepth != queueCap+1 || drains == 0 {
@@ -275,26 +337,95 @@ func TestControllerMatchesLinearScanReference(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("deepest stacked heap: %d banks", deepest)
+	if deepest < 64 {
+		t.Fatalf("stacked streams held writes on at most %d banks at once; want a heap of at least 64", deepest)
+	}
 }
 
-// TestAccessSteadyStateAllocFree pins Access's zero-allocation steady state:
-// the queue is preallocated to queueCap+1 at construction and requests are
-// value types, so enqueue/pick/issue never touch the heap. This is the
-// per-access cost the FR-FCFS experiments pay millions of times per cell.
-func TestAccessSteadyStateAllocFree(t *testing.T) {
-	c := testCtrl()
-	r := xrand.New(3)
-	at := uint64(0)
-	for i := 0; i < 4096; i++ {
-		c.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.5))
-		at += 4
+// fuzzRecord is the width of one access in a FuzzControllerMatchesReference
+// input: a flag byte (bit 0 write, bit 1 arrival earlier than the previous
+// call's, bits 2-3 an index into fuzzSizes), the 16-bit little-endian
+// distance from the previous call's arrival, and a 24-bit little-endian
+// line.
+const fuzzRecord = 6
+
+var fuzzSizes = [4]int{64, 80, 0, -64}
+
+// FuzzControllerMatchesReference runs Controller and the linear-scan
+// reference side by side on both Table I geometries over decoded accesses,
+// failing on any difference or broken heap invariant. The corpus is seeded
+// with diffStream prefixes.
+func FuzzControllerMatchesReference(f *testing.F) {
+	for _, cfg := range tableI {
+		for seed := uint64(1); seed <= 4; seed++ {
+			var in []byte
+			var prev uint64
+			diffStream(seed, cfg, 600, func(at, line uint64, bytes int, write bool) {
+				var flags byte
+				if write {
+					flags |= 1
+				}
+				d := at - prev
+				if at < prev {
+					flags, d = flags|2, prev-at
+				}
+				size := 0
+				for size < len(fuzzSizes) && fuzzSizes[size] != bytes {
+					size++
+				}
+				if d >= 1<<16 || line >= 1<<24 || size == len(fuzzSizes) {
+					f.Fatalf("diffStream access (at %d line %d bytes %d) does not fit a fuzz record", at, line, bytes)
+				}
+				prev = at
+				in = append(in, flags|byte(size)<<2, byte(d), byte(d>>8), byte(line), byte(line>>8), byte(line>>16))
+			})
+			f.Add(in)
+		}
 	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		c.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.5))
-		at += 4
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, cfg := range tableI {
+			c, ref := New(cfg), newRef(cfg)
+			var at uint64
+			for i := 0; i+fuzzRecord <= len(in); i += fuzzRecord {
+				r := in[i : i+fuzzRecord]
+				if d := uint64(r[1]) | uint64(r[2])<<8; r[0]&2 != 0 {
+					at -= min(at, d)
+				} else {
+					at += d
+				}
+				line := uint64(r[3]) | uint64(r[4])<<8 | uint64(r[5])<<16
+				bytes, write := fuzzSizes[r[0]>>2&3], r[0]&1 != 0
+				if err := accessBoth(c, ref, at, line, bytes, write); err != nil {
+					t.Fatalf("%s access %d (at %d line %d bytes %d write %v): %v",
+						cfg.Name, i/fuzzRecord+1, at, line, bytes, write, err)
+				}
+			}
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("Access steady state allocates %.1f objects per request", allocs)
+}
+
+// TestAccessSteadyStateAllocFree pins Access's zero-allocation steady state
+// on both Table I geometries: the write slots and the heap of banks are
+// preallocated to queueCap+1 at construction and requests are value types,
+// so enqueue/pick/issue never allocate. This is the per-access cost the
+// FR-FCFS experiments pay millions of times per cell.
+func TestAccessSteadyStateAllocFree(t *testing.T) {
+	for _, cfg := range tableI {
+		c := New(cfg)
+		r := xrand.New(3)
+		at := uint64(0)
+		for i := 0; i < 4096; i++ {
+			c.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.5))
+			at += 4
+		}
+		allocs := testing.AllocsPerRun(2000, func() {
+			c.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.5))
+			at += 4
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Access steady state allocates %.1f objects per request", cfg.Name, allocs)
+		}
 	}
 }
 
@@ -319,6 +450,29 @@ func BenchmarkControllerAccessDeepQueue(b *testing.B) {
 	access := func() {
 		ctrl.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.7))
 		at += 4
+	}
+	for i := 0; i < 10_000; i++ {
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
+	}
+}
+
+// BenchmarkControllerAccessStacked times Access on the 256-bank stacked
+// geometry with writes spread uniformly over its banks, so that about 20
+// banks hold writes at each pick (a paper round's FR-FCFS picks see 18.4
+// on average): the regime where choosing the next write across banks
+// costs the most.
+func BenchmarkControllerAccessStacked(b *testing.B) {
+	ctrl := New(dram.StackedConfig(4 << 20))
+	r := xrand.New(1)
+	at := uint64(0)
+	access := func() {
+		ctrl.Access(at, uint64(r.Intn(1<<16)), 64, r.Bool(0.7))
+		at += 8
 	}
 	for i := 0; i < 10_000; i++ {
 		access()
