@@ -12,11 +12,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 
@@ -40,11 +42,13 @@ var predNames = map[string]cameo.PredKind{
 	"perfect": cameo.Perfect,
 }
 
+// keys lists m's names sorted, so help and error text are stable.
 func keys[V any](m map[string]V) string {
-	var ks []string
+	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
+	sort.Strings(ks)
 	return strings.Join(ks, ", ")
 }
 
@@ -81,8 +85,7 @@ func run(args []string) (code int) {
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (the -speedup baseline runs concurrently)")
 		cachedir = fs.String("cachedir", "", "persistent result-cache directory (note: cached results omit the -hist histogram)")
 
-		jobTimeout = fs.Duration("job-timeout", 0, "watchdog: abandon a run attempt longer than this (0 = off)")
-		retries    = fs.Int("retries", 0, "retry a transiently-failed run this many times")
+		jobTimeout = fs.Duration("job-timeout", 0, "watchdog: cancel and fail a run longer than this (0 = off)")
 	)
 	prof := profiling.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -167,7 +170,7 @@ func run(args []string) (code int) {
 		}
 	}
 
-	ropts := runner.Options{Jobs: *jobs, JobTimeout: *jobTimeout, Retries: *retries}
+	ropts := runner.Options{Jobs: *jobs, JobTimeout: *jobTimeout}
 	if *cachedir != "" {
 		cache, err := runner.OpenDiskCache(*cachedir)
 		if err != nil {
@@ -194,9 +197,12 @@ func run(args []string) (code int) {
 	}
 	if *vsBase && kind != system.Baseline {
 		// Fan the measured run and its baseline across the pool up front.
+		// A run that failed is memoized: getResult below reports its error
+		// without running it again.
 		bcfg := cfg
 		bcfg.Org = system.Baseline
-		if err := pool.RunAll(ctx, []runner.Job{mkJob(cfg), mkJob(bcfg)}); err != nil {
+		var failed *runner.FailedCellsError
+		if err := pool.RunAll(ctx, []runner.Job{mkJob(cfg), mkJob(bcfg)}); err != nil && !errors.As(err, &failed) {
 			fmt.Fprintln(os.Stderr, "cameo-sim:", err)
 			return 1
 		}

@@ -37,8 +37,23 @@ func TestRunList(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag is a usage error. -retries is retired
+// (a run is attempted once), so it is unknown too.
 func TestRunBadFlag(t *testing.T) {
-	if code := run([]string{"-no-such-flag"}); code != 2 {
-		t.Fatalf("run returned %d, want 2", code)
+	for _, flag := range []string{"-no-such-flag", "-retries"} {
+		if code := run([]string{flag}); code != 2 {
+			t.Fatalf("run(%s) returned %d, want 2", flag, code)
+		}
+	}
+}
+
+// TestNameListsSorted pins the -llt/-pred name lists that the help text
+// and the bad -llt/-pred error print: sorted, the same on every run.
+func TestNameListsSorted(t *testing.T) {
+	if got, want := keys(lltNames), "colocated, embedded, ideal"; got != want {
+		t.Errorf("llt names = %q, want %q", got, want)
+	}
+	if got, want := keys(predNames), "llp, perfect, sam"; got != want {
+		t.Errorf("pred names = %q, want %q", got, want)
 	}
 }

@@ -22,9 +22,13 @@
 // regardless of completion order, so the CSV is byte-identical for any
 // worker count. With -cachedir, already-simulated cells load from disk, so
 // rerunning an interrupted sweep over the same directory simulates only the
-// cells it had not finished. -job-timeout, -retries
-// and -keep-going harden long sweeps against stuck or failing cells, and
-// -chaos injects deterministic faults to drill exactly those paths.
+// cells it had not finished. A cell that fails (a panic, a -job-timeout)
+// is attempted once: the CSV skips it, -failures writes the failure
+// report, and the exit status is 3; failed cells are never cached, so a
+// rerun over the same -cachedir retries only them. -chaos injects
+// deterministic faults to drill exactly those paths.
+// Exit codes: 0 success, 1 runtime error, 2 bad flags or an invalid cell
+// configuration, 3 failed cells, 130 interrupted.
 package main
 
 import (
@@ -70,10 +74,8 @@ func run(args []string) (code int) {
 		cachedir = fs.String("cachedir", "", "persistent result-cache directory")
 		quiet    = fs.Bool("quiet", false, "suppress the stderr progress display")
 
-		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel an attempt that runs longer than this and reclaim its worker (0 = off)")
-		retries    = fs.Int("retries", 0, "retry transiently-failed cells (panics, timeouts) this many times")
-		keepGoing  = fs.Bool("keep-going", false, "skip failed cells in the CSV, write a failure report, exit 3")
-		failures   = fs.String("failures", "", "with -keep-going, also write the failure report as JSON to this path")
+		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel a cell that runs longer than this, reclaim its worker and fail the cell (0 = off)")
+		failures   = fs.String("failures", "", "if any cell fails, also write the failure report as JSON to this path")
 		chaos      = fs.String("chaos", "", "fault-injection spec for robustness drills, e.g. 'job:panic:p=0.2;cacheload:corrupt:p=0.1'")
 		chaosSeed  = fs.Uint64("chaos-seed", 1, "seed for the -chaos fault schedule")
 
@@ -141,6 +143,12 @@ func run(args []string) (code int) {
 				fmt.Fprintln(os.Stderr, "cameo-sweep:", err)
 				return 2
 			}
+			// A configuration no cell can run (-cores 100000, a scale that
+			// is not a power of two) is a usage error, not a failed cell.
+			if err := cfg.WithDefaults().Validate(); err != nil {
+				fmt.Fprintf(os.Stderr, "cameo-sweep: %s=%d: %v\n", *sweep, v, err)
+				return 2
+			}
 			cells = append(cells, cell{
 				job: runner.NewJob(spec, cfg),
 				tag: fmt.Sprintf("%s@%s=%d", spec.Name, *sweep, v),
@@ -155,8 +163,6 @@ func run(args []string) (code int) {
 		Jobs:       *jobs,
 		Progress:   runner.AutoProgress(*quiet),
 		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-		KeepGoing:  *keepGoing,
 	}
 	var plan *faultinject.Plan
 	if *chaos != "" {
@@ -188,8 +194,8 @@ func run(args []string) (code int) {
 	switch {
 	case runErr == nil:
 	case errors.As(runErr, &failedCells):
-		// Keep-going: the CSV below skips the failed cells; report + exit 3
-		// happen after the partial grid is written.
+		// The CSV below skips the failed cells; report + exit 3 happen
+		// after the partial grid is written.
 	default:
 		fmt.Fprintln(os.Stderr, "cameo-sweep:", runErr)
 		if errors.Is(runErr, context.Canceled) {
@@ -200,8 +206,8 @@ func run(args []string) (code int) {
 
 	// Deterministic merge: collect in sweep order (memo hits), tagging the
 	// swept value into the benchmark column so the CSV is self-describing.
-	// In keep-going mode, cells that failed have no memoized result and are
-	// skipped — the failure report names them.
+	// Cells that failed have no memoized result and are skipped — the
+	// failure report names them.
 	results := make([]system.Result, 0, len(cells))
 	for _, c := range cells {
 		res, ok := r.Lookup(c.job.Key())
@@ -237,7 +243,7 @@ func run(args []string) (code int) {
 	return 0
 }
 
-// writeFailures dumps the keep-going failure report as deterministic JSON.
+// writeFailures dumps the failure report as deterministic JSON.
 func writeFailures(path string, rep *runner.FailureReport) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -24,12 +24,30 @@ func TestRunErrorPathFlushesProfile(t *testing.T) {
 }
 
 // TestRunBadFlag: an unknown flag is a usage error. -resume is retired
-// (rerunning over the same -cachedir continues an interrupted sweep), so it
-// is unknown too.
+// (rerunning over the same -cachedir continues an interrupted sweep), and
+// so are -retries and -keep-going (each cell is attempted once, and failed
+// cells are always quarantined), so they are unknown too.
 func TestRunBadFlag(t *testing.T) {
-	for _, flag := range []string{"-no-such-flag", "-resume"} {
+	for _, flag := range []string{"-no-such-flag", "-resume", "-retries", "-keep-going"} {
 		if code := run([]string{flag}); code != 2 {
 			t.Fatalf("run(%s) returned %d, want 2", flag, code)
+		}
+	}
+}
+
+// TestRunInvalidCellConfig: a sweep cell no simulation can run is a usage
+// error found before any cell runs, not a failed cell.
+func TestRunInvalidCellConfig(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "sweep.csv")
+	for _, args := range [][]string{
+		{"-cores", "100000", "-values", "512"},
+		{"-sweep", "scale", "-values", "512,3"},
+	} {
+		if code := run(append(args, "-bench", "milc", "-quiet", "-out", out)); code != 2 {
+			t.Fatalf("run(%v) returned %d, want 2", args, code)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("run(%v) wrote %s: %v", args, out, err)
 		}
 	}
 }

@@ -21,7 +21,10 @@
 //
 // A request's timeout_ms (and a disconnecting client) cancels its sweep
 // mid-flight: the cancellation reaches the simulator's event loops, which
-// unwind at their preemption points, and the workers are reclaimed.
+// unwind at their preemption points, and the workers are reclaimed. A cell
+// that fails (a panic, a -job-timeout) is attempted once: the reply holds
+// every other cell and lists it under "failures", and it is never cached,
+// so a repeat request runs it again.
 //
 // Fleet mode: with -peers, a worker consults the listed peer caches before
 // recomputing a cell. With -coordinator -workers=..., cameod serves the
@@ -87,8 +90,7 @@ func run(args []string, stderr io.Writer) int {
 		maxInflight = fs.Int("max-inflight", 2, "sweep requests executing concurrently")
 		maxQueue    = fs.Int("max-queue", 8, "sweep requests allowed to wait for a slot (beyond that: 429)")
 		maxCells    = fs.Int("max-cells", 1024, "largest grid a single request may ask for")
-		jobTimeout  = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel an attempt running longer than this and reclaim its worker (0 = off)")
-		retries     = fs.Int("retries", 0, "retry transiently-failed cells this many times")
+		jobTimeout  = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel a cell running longer than this, reclaim its worker and fail the cell (0 = off)")
 		cachedir    = fs.String("cachedir", "", "persistent result-cache directory shared across requests and restarts (workers only: a coordinator keeps nothing on disk)")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight sweeps before cancelling them")
 		peers       = fs.String("peers", "", "comma-separated peer worker base URLs whose caches are consulted before recomputing (needs -cachedir)")
@@ -164,7 +166,6 @@ func run(args []string, stderr io.Writer) int {
 			MaxQueue:    *maxQueue,
 			MaxCells:    *maxCells,
 			JobTimeout:  *jobTimeout,
-			Retries:     *retries,
 			CacheDir:    *cachedir,
 			DrainGrace:  *drainGrace,
 			Log:         logger,

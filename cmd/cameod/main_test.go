@@ -67,9 +67,12 @@ func TestRunFlagValidation(t *testing.T) {
 		t.Fatalf("stderr does not name the missing flag: %q", stderr.String())
 	}
 
-	stderr.Reset()
-	if code := run([]string{"-no-such-flag"}, &stderr); code != 2 {
-		t.Fatalf("unknown flag: exit %d, want 2", code)
+	// -retries is retired (each cell is attempted once), so it is unknown.
+	for _, flag := range []string{"-no-such-flag", "-retries"} {
+		stderr.Reset()
+		if code := run([]string{flag}, &stderr); code != 2 {
+			t.Fatalf("unknown flag %s: exit %d, want 2", flag, code)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //	paperbench -exp fig12 -bench milc,mcf -scale 512 -instr 200000
 //	paperbench -jobs 8 -cachedir ~/.cache/cameo   # parallel + persistent cache
 //	paperbench -cachedir /tmp/c                   # rerunning continues an interrupted run
-//	paperbench -keep-going -retries 2 -job-timeout 5m -failures failed.json
+//	paperbench -job-timeout 5m -failures failed.json
 //
 // Output is fixed-width text; each experiment prints the same rows/series
 // the paper reports (see DESIGN.md for the per-experiment index). Each
@@ -16,6 +16,12 @@
 // is byte-identical for any worker count. With -cachedir, already-simulated
 // cells are loaded from disk instead of re-run, so rerunning an interrupted
 // run over the same directory simulates only the cells it had not finished.
+// A cell that fails (a panic, a -job-timeout) is attempted once: the other
+// cells all finish, the experiments that needed it print a note, -failures
+// writes the failure report, and the exit status is 3. Failed cells are
+// never cached, so a rerun over the same -cachedir retries only them.
+// Exit codes: 0 success, 1 runtime error, 2 bad flags or an operating
+// point no cell can run, 3 failed cells, 130 interrupted.
 package main
 
 import (
@@ -57,10 +63,8 @@ func run(args []string) (code int) {
 		cachedir = fs.String("cachedir", "", "persistent result-cache directory (skip already-simulated cells)")
 		quiet    = fs.Bool("quiet", false, "suppress the stderr progress display")
 
-		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: abandon an attempt that runs longer than this (0 = off)")
-		retries    = fs.Int("retries", 0, "retry transiently-failed cells (panics, timeouts) this many times")
-		keepGoing  = fs.Bool("keep-going", false, "quarantine failed cells into a report and finish the rest (exit 3 if any failed)")
-		failures   = fs.String("failures", "", "with -keep-going, also write the failure report as JSON to this path")
+		jobTimeout = fs.Duration("job-timeout", 0, "per-cell watchdog: cancel a cell that runs longer than this and fail it (0 = off)")
+		failures   = fs.String("failures", "", "if any cell fails, also write the failure report as JSON to this path")
 
 		telemetry = fs.String("telemetry", "", "write the per-cell metrics telemetry as JSON to this path")
 		telTiming = fs.Bool("telemetry-timing", false, "include volatile wall-time/cache fields in -telemetry output (breaks byte-determinism)")
@@ -95,8 +99,6 @@ func run(args []string) (code int) {
 		Seed:         *seed,
 		Jobs:         *jobs,
 		JobTimeout:   *jobTimeout,
-		Retries:      *retries,
-		KeepGoing:    *keepGoing,
 	}
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")
@@ -127,7 +129,8 @@ func run(args []string) (code int) {
 
 	suite, err := experiments.NewSuite(opts)
 	if err != nil {
-		// Unknown benchmark names: the error carries the valid listing.
+		// Unknown benchmark names (the error carries the valid listing) or
+		// an unusable operating point.
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		return 2
 	}
@@ -162,9 +165,9 @@ func run(args []string) (code int) {
 	}
 
 	if rep := suite.FailureReport(); rep != nil {
-		// Keep-going mode completed everything it could; report what it
-		// could not and exit non-zero so scripts notice. Failures are never
-		// cached, so a rerun over the same -cachedir retries only them.
+		// Every healthy cell completed; report the rest and exit non-zero
+		// so scripts notice. Failures are never cached, so a rerun over the
+		// same -cachedir retries only them.
 		if *failures != "" {
 			if werr := writeFailures(*failures, rep); werr != nil {
 				fmt.Fprintln(os.Stderr, "paperbench:", werr)
@@ -178,7 +181,7 @@ func run(args []string) (code int) {
 	return 0
 }
 
-// writeFailures dumps the keep-going failure report as deterministic JSON.
+// writeFailures dumps the failure report as deterministic JSON.
 func writeFailures(path string, rep *runner.FailureReport) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -24,12 +24,23 @@ func TestRunErrorPathFlushesProfile(t *testing.T) {
 }
 
 // TestRunBadFlag: an unknown flag is a usage error. -resume is retired
-// (rerunning over the same -cachedir continues an interrupted run), so it
-// is unknown too.
+// (rerunning over the same -cachedir continues an interrupted run), and so
+// are -retries and -keep-going (each cell is attempted once, and failed
+// cells are always quarantined), so they are unknown too.
 func TestRunBadFlag(t *testing.T) {
-	for _, flag := range []string{"-no-such-flag", "-resume"} {
+	for _, flag := range []string{"-no-such-flag", "-resume", "-retries", "-keep-going"} {
 		if code := run([]string{flag}); code != 2 {
 			t.Fatalf("run(%s) returned %d, want 2", flag, code)
+		}
+	}
+}
+
+// TestRunBadOperatingPoint: a suite no cell can run is a usage error, not
+// a run whose every experiment degrades.
+func TestRunBadOperatingPoint(t *testing.T) {
+	for _, args := range [][]string{{"-cores", "100000"}, {"-scale", "3"}} {
+		if code := run(append(args, "-exp", "fig13", "-quiet")); code != 2 {
+			t.Fatalf("run(%v) returned %d, want 2", args, code)
 		}
 	}
 }

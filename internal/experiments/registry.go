@@ -99,9 +99,9 @@ func PlannedJobs(s *Suite, exps []Experiment) []runner.Job {
 
 // RunExperiment prewarms the experiment's planned grid across the suite's
 // worker pool, then renders it. Cancellation (Ctrl-C) drains the pool and
-// returns ctx.Err(); a cell that panicked surfaces as an error. Under
-// keep-going options, an experiment whose cells failed degrades to a
-// bracketed note instead of aborting the suite — the failed cells stay
+// returns ctx.Err(). A failed cell never aborts the suite: an experiment
+// whose cells failed prints a bracketed note naming them, and one whose
+// render needs a failed cell is skipped with a note. The failed cells stay
 // quarantined in the suite's FailureReport.
 func RunExperiment(ctx context.Context, s *Suite, e Experiment, w io.Writer) (err error) {
 	if cerr := ctx.Err(); cerr != nil {
@@ -110,10 +110,8 @@ func RunExperiment(ctx context.Context, s *Suite, e Experiment, w io.Writer) (er
 	s.bind(ctx)
 	var degraded *runner.FailedCellsError
 	if e.Plan != nil {
-		if perr := s.Prewarm(ctx, e.Plan(s)); perr != nil {
-			if !s.opts.KeepGoing || !errors.As(perr, &degraded) {
-				return fmt.Errorf("experiments: %s: %w", e.ID, perr)
-			}
+		if perr := s.Prewarm(ctx, e.Plan(s)); perr != nil && !errors.As(perr, &degraded) {
+			return fmt.Errorf("experiments: %s: %w", e.ID, perr)
 		}
 	}
 	defer func() {
@@ -122,14 +120,13 @@ func RunExperiment(ctx context.Context, s *Suite, e Experiment, w io.Writer) (er
 			if !ok {
 				panic(r)
 			}
-			if s.opts.KeepGoing {
-				// The render pulled a cell that cannot be computed; leave a
-				// note and keep the suite going.
-				fmt.Fprintf(w, "[%s skipped: %s]\n", e.ID, errorFirstLine(re.err))
-				err = nil
+			if cerr := ctx.Err(); cerr != nil {
+				err = fmt.Errorf("experiments: %s: %w", e.ID, cerr)
 				return
 			}
-			err = fmt.Errorf("experiments: %s: %w", e.ID, re.err)
+			// The render pulled a cell that cannot be computed; leave a
+			// note and keep the suite going.
+			fmt.Fprintf(w, "[%s skipped: %s]\n", e.ID, errorFirstLine(re.err))
 		}
 	}()
 	fmt.Fprintf(w, "\n### %s: %s\n\n", e.ID, e.Title)

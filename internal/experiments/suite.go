@@ -40,13 +40,8 @@ type Options struct {
 	Cache runner.Cache
 	// Progress, when non-nil, receives live progress/ETA lines (stderr).
 	Progress io.Writer
-	// JobTimeout bounds each cell attempt (0 = no watchdog).
+	// JobTimeout bounds each cell (0 = no watchdog).
 	JobTimeout time.Duration
-	// Retries is the per-cell transient-failure retry budget.
-	Retries int
-	// KeepGoing renders around failed cells (experiments touching them are
-	// skipped with a note) instead of aborting the whole suite.
-	KeepGoing bool
 }
 
 // DefaultOptions returns the suite defaults: 1/1024 scale, the paper's 32
@@ -84,26 +79,26 @@ type Suite struct {
 }
 
 // NewSuite builds a suite with the given options. Unknown benchmark names
-// are an error (listing the valid names) rather than a panic.
+// (the error lists the valid ones) and an unusable operating point (a
+// scale that is not a power of two, too many cores) are errors up front,
+// not a failure of every cell.
 func NewSuite(opts Options) (*Suite, error) {
 	opts = opts.withDefaults()
 	specs, err := resolveBenchmarks(opts.Benchmarks)
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{
-		opts:  opts,
-		specs: specs,
-		run: runner.New(runner.Options{
-			Jobs:       opts.Jobs,
-			Cache:      opts.Cache,
-			Progress:   opts.Progress,
-			JobTimeout: opts.JobTimeout,
-			Retries:    opts.Retries,
-			KeepGoing:  opts.KeepGoing,
-		}),
-		ctx: context.Background(),
-	}, nil
+	s := &Suite{opts: opts, specs: specs, ctx: context.Background()}
+	if err := s.sysConfig(system.Baseline).WithDefaults().Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	s.run = runner.New(runner.Options{
+		Jobs:       opts.Jobs,
+		Cache:      opts.Cache,
+		Progress:   opts.Progress,
+		JobTimeout: opts.JobTimeout,
+	})
+	return s, nil
 }
 
 // MustNewSuite is NewSuite for known-good options (tests, examples).
@@ -185,7 +180,7 @@ func (s *Suite) sysConfig(org system.OrgKind) system.Config {
 }
 
 // runError wraps a runner failure so render functions (which have no error
-// return) can unwind to RunExperiment, which recovers it into an error.
+// return) can unwind to RunExperiment, which recovers it into a note.
 type runError struct{ err error }
 
 func (e runError) Error() string { return e.err.Error() }
@@ -196,8 +191,8 @@ func (s *Suite) Telemetry(includeTiming bool) runner.Telemetry {
 	return s.run.Telemetry(includeTiming)
 }
 
-// FailureReport returns the key-sorted report of cells that exhausted
-// their attempts under keep-going mode, or nil when everything succeeded.
+// FailureReport returns the key-sorted report of every cell that failed,
+// or nil when everything succeeded.
 func (s *Suite) FailureReport() *runner.FailureReport {
 	return s.run.FailureReport()
 }

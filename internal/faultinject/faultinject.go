@@ -9,12 +9,15 @@
 // The runner consults the plan before executing a cell (SiteJobRun) and the
 // disk cache consults it around entry reads and writes (SiteCacheLoad,
 // SiteCacheStore), so every failure path the fault-tolerance layer handles
-// — watchdog timeouts, retries, quarantine, degraded stores — can be
-// exercised by tests against the real recovery code. The fleet's HTTP
-// transport consults it per request (SiteFleetDispatch, SiteFleetHeartbeat,
+// — watchdog timeouts, quarantine, degraded stores — can be exercised by
+// tests against the real recovery code. The fleet's HTTP transport
+// consults it per request (SiteFleetDispatch, SiteFleetHeartbeat,
 // SiteFleetCacheFetch) with the network kinds Drop, Latency, Error5xx, and
 // Partition, so a worker's turns to suspect and back to alive are
 // chaos-tested against deterministic, replayable network schedules too.
+// The runner attempts each cell once, so its job site always passes
+// attempt 0; attempt numbers count at the fleet sites, where a target's
+// requests repeat.
 package faultinject
 
 import (
@@ -140,8 +143,8 @@ type Rule struct {
 	// substring (cell keys embed benchmark names and config fields).
 	Match string
 	// MaxAttempt, when positive, fires only while attempt < MaxAttempt —
-	// the fault is transient and clears after that many tries, so retry
-	// convergence can be asserted exactly.
+	// the fault is transient and clears after that many tries (the job
+	// site's one attempt is attempt 0).
 	MaxAttempt int
 	// Delay is the hang/stall duration for Hang and Stall rules.
 	Delay time.Duration

@@ -24,7 +24,7 @@ import (
 //	              cancelled at the job site)
 //	limit=10      total fire cap
 //
-// Examples: "job:panic:p=0.1:max=1;cacheload:corrupt:match=milc",
+// Examples: "job:panic:p=0.1;cacheload:corrupt:match=milc",
 // "fleet/heartbeat:partition:match=127.0.0.1:18441:max=3" (the first three
 // heartbeat probes of one worker vanish — a bounded partition window).
 func ParseSpec(seed uint64, spec string) (*Plan, error) {

@@ -840,9 +840,9 @@ func (s *sweepRun) failUnlessEnded(err error) {
 // A result goes into the coordinator's answer record.
 func (s *sweepRun) resolve(worker string, fc *fleetCell, resp *sweepapi.Response) {
 	if len(resp.Failures) > 0 {
-		// The worker ran the cell and quarantined it (keep-going): adopt
-		// its failure record verbatim — same taxonomy, same bytes as a
-		// single-node report.
+		// The worker ran the cell and quarantined it: adopt its failure
+		// record verbatim — same taxonomy, same bytes as a single-node
+		// report.
 		s.recordFailure(fc, resp.Failures[0])
 		return
 	}

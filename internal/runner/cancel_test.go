@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -31,71 +32,94 @@ func waitGoroutines(base, slack int, deadline time.Duration) int {
 }
 
 // TestChaosStallReclamation is the acceptance drill for cooperative
-// cancellation: a sweep whose first attempts stall (injected, deterministic)
-// under a watchdog must (a) converge to results and telemetry byte-identical
-// to a fault-free run of the same plan, (b) complete every subsequent cell
-// on the reclaimed workers, and (c) leak zero goroutines.
+// cancellation: a sweep whose first cells stall (injected, deterministic)
+// under a watchdog must (a) fail exactly the stalled cells, as timeouts,
+// (b) complete every later cell on the reclaimed workers, (c) leak zero
+// goroutines, and (d) recover by a rerun over the same cache, which
+// simulates only the failed cells and converges to telemetry byte-identical
+// to a fault-free run of the same plan.
 func TestChaosStallReclamation(t *testing.T) {
-	const n = 8
+	const n, stalled = 8, 4
 	jobs := testJobs(n)
 
-	sweep := func(plan *faultinject.Plan) *Runner {
+	sweep := func(cache Cache, plan *faultinject.Plan) (*Runner, error) {
 		var executed atomic.Int64
 		r := New(Options{
-			Jobs:         2, // fewer workers than stalled cells: reclamation must free them
-			Execute:      countingExecute(&executed, 0),
-			JobTimeout:   50 * time.Millisecond,
-			Retries:      1,
-			RetryBackoff: time.Millisecond,
-			Faults:       plan,
+			Jobs:       2, // fewer workers than stalled cells: reclamation must free them
+			Cache:      cache,
+			Execute:    countingExecute(&executed, 0),
+			JobTimeout: 50 * time.Millisecond,
+			Faults:     plan,
 		})
-		if err := r.RunAll(context.Background(), jobs); err != nil {
-			t.Fatalf("sweep did not converge: %v", err)
-		}
-		return r
+		return r, r.RunAll(context.Background(), jobs)
+	}
+	counter := func(r *Runner, name string) uint64 {
+		s, _ := r.Metrics().Get(name)
+		return uint64(s.Value)
 	}
 
 	base := runtime.NumGoroutine()
-	// Every cell stalls "forever" (until cancelled) on its first attempt;
-	// the watchdog cancels it, the worker is reclaimed, the retry succeeds.
-	plan := faultinject.NewPlan(11, faultinject.Rule{
-		Site: faultinject.SiteJobRun, Kind: faultinject.Stall, Prob: 1, MaxAttempt: 1,
-	})
-	faulty := sweep(plan)
-	clean := sweep(nil)
+	// The first cells fed to the pool (seeds 1..4) stall "forever" (until
+	// cancelled); the watchdog cancels each and reclaims its worker.
+	var rules []faultinject.Rule
+	for seed := 1; seed <= stalled; seed++ {
+		rules = append(rules, faultinject.Rule{
+			Site: faultinject.SiteJobRun, Kind: faultinject.Stall, Prob: 1,
+			Match: fmt.Sprintf("|seed=%d|", seed),
+		})
+	}
+	plan := faultinject.NewPlan(11, rules...)
+	cache := openTestCache(t, t.TempDir())
+	faulty, err := sweep(cache, plan)
+	rep := failureReport(t, err, stalled, "timeout")
+	for i, c := range rep.Cells {
+		if c.Key != jobs[i].Key() {
+			t.Fatalf("failed cell %d is %s, want seed %d", i, c.Name, i+1)
+		}
+	}
+	if got := plan.Fires(); got != stalled {
+		t.Fatalf("injected stalls = %d, want %d", got, stalled)
+	}
+	for name, want := range map[string]uint64{
+		"runner/timeouts":             stalled,
+		"runner/abandoned_goroutines": 0, // stalls honour cancellation
+		"runner/cells_failed":         stalled,
+		"runner/cells_executed":       n - stalled,
+	} {
+		if got := counter(faulty, name); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+	}
 
-	if got := plan.Fires(); got != n {
-		t.Fatalf("injected stalls = %d, want %d", got, n)
-	}
-	snap := faulty.Metrics()
-	if s, ok := snap.Get("runner/timeouts"); !ok || s.Value != n {
-		t.Fatalf("runner/timeouts = %+v, want %d", s, n)
-	}
-	if s, ok := snap.Get("runner/abandoned_goroutines"); !ok || s.Value != 0 {
-		t.Fatalf("runner/abandoned_goroutines = %+v, want 0 (stalls honour cancellation)", s)
-	}
-	if s, ok := snap.Get("runner/cells_failed"); !ok || s.Value != 0 {
-		t.Fatalf("runner/cells_failed = %+v, want 0", s)
+	// Zero leaked goroutines (small slack for the test framework's own).
+	if got := waitGoroutines(base, 2, 5*time.Second); got > base+2 {
+		t.Fatalf("goroutines = %d after sweep, baseline %d: cancelled cells leaked", got, base)
 	}
 
-	// Byte-identical merged output despite n watchdog firings.
-	var fb, cb bytes.Buffer
-	if err := faulty.Telemetry(false).WriteJSON(&fb); err != nil {
+	// The rerun, with the fault cleared, simulates only the failed cells.
+	rerun, err := sweep(cache, nil)
+	if err != nil {
+		t.Fatalf("rerun did not converge: %v", err)
+	}
+	if got := counter(rerun, "runner/cells_executed"); got != stalled {
+		t.Fatalf("rerun executed %d cells, want the %d failed ones", got, stalled)
+	}
+	clean, err := sweep(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rb, cb bytes.Buffer
+	if err := rerun.Telemetry(false).WriteJSON(&rb); err != nil {
 		t.Fatal(err)
 	}
 	if err := clean.Telemetry(false).WriteJSON(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
-		t.Fatal("telemetry of the stalled sweep differs from the fault-free run")
+	if !bytes.Equal(rb.Bytes(), cb.Bytes()) {
+		t.Fatal("telemetry of the rerun differs from the fault-free run")
 	}
-	if faulty.Len() != n || clean.Len() != n {
-		t.Fatalf("memoized cells = %d/%d, want %d", faulty.Len(), clean.Len(), n)
-	}
-
-	// Zero leaked goroutines (small slack for the test framework's own).
-	if got := waitGoroutines(base, 2, 5*time.Second); got > base+2 {
-		t.Fatalf("goroutines = %d after sweep, baseline %d: cancelled attempts leaked", got, base)
+	if rerun.Len() != n || clean.Len() != n {
+		t.Fatalf("memoized cells = %d/%d, want %d", rerun.Len(), clean.Len(), n)
 	}
 }
 
@@ -193,27 +217,28 @@ func TestNonCooperativeExecuteIsAbandoned(t *testing.T) {
 	}
 }
 
-// TestCancelledCellsAreNotFailures: a cancelled attempt must not consume
-// retries, not enter the failure report, and surface as a *CancelledError
-// that unwraps to context.Canceled.
+// TestCancelledCellsAreNotFailures: a cancelled cell must not enter the
+// failure report or the memo, must be counted once as cancelled, and must
+// surface as a *CancelledError that unwraps to context.Canceled; a later
+// request runs it.
 func TestCancelledCellsAreNotFailures(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
+	var calls atomic.Int64
 	r := New(Options{
-		Jobs:    1,
-		Retries: 5,
+		Jobs: 1,
 		Execute: func(c context.Context, j Job) system.Result {
-			select {
-			case started <- struct{}{}:
-			default:
+			if calls.Add(1) == 1 {
+				started <- struct{}{}
+				<-c.Done()
 			}
-			<-c.Done()
-			return system.Result{}
+			return system.Result{Cycles: 1}
 		},
 	})
+	job := testJobs(1)[0]
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Get(ctx, testJobs(1)[0])
+		_, err := r.Get(ctx, job)
 		done <- err
 	}()
 	<-started
@@ -229,7 +254,10 @@ func TestCancelledCellsAreNotFailures(t *testing.T) {
 	if rep := r.FailureReport(); rep != nil {
 		t.Fatalf("cancelled cell entered the failure report: %+v", rep)
 	}
-	if s, ok := r.Metrics().Get("runner/retries"); ok && s.Value != 0 {
-		t.Fatalf("cancellation burned %d retries", s.Value)
+	if s, ok := r.Metrics().Get("runner/cancelled"); !ok || s.Value != 1 {
+		t.Fatalf("runner/cancelled = %+v, want 1", s)
+	}
+	if res, err := r.Get(context.Background(), job); err != nil || res.Cycles != 1 {
+		t.Fatalf("later Get = %+v, %v: the cancelled cell was memoized", res, err)
 	}
 }

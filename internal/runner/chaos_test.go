@@ -13,90 +13,94 @@ import (
 	"cameo/internal/workload"
 )
 
-// Chaos tests drive the real recovery machinery — watchdog, retry loop,
-// quarantine, keep-going report — with deterministic injected faults, so
-// they assert exact counts, not "it probably recovered". The CI chaos job
-// runs them under -race.
+// Chaos tests drive the real failure machinery — watchdog, quarantine,
+// failure report — with deterministic injected faults, so they assert
+// exact counts, not "it probably recovered". The CI chaos job runs them
+// under -race.
 
-// TestChaosPanicRetrySucceeds: every cell panics on its first two attempts
-// (MaxAttempt=2) and succeeds on the third; with Retries=3 the sweep
-// converges with exact retry accounting.
-func TestChaosPanicRetrySucceeds(t *testing.T) {
+// failureReport returns the report a RunAll error carries, failing the
+// test unless it is a *FailedCellsError listing want cells, each attempted
+// once and of the given kind.
+func failureReport(t *testing.T, err error, want int, kind string) *FailureReport {
+	t.Helper()
+	var fce *FailedCellsError
+	if !errors.As(err, &fce) {
+		t.Fatalf("err = %v, want a FailedCellsError", err)
+	}
+	if fce.Report.Failed != want || len(fce.Report.Cells) != want {
+		t.Fatalf("report lists %d cells (%d rows), want %d", fce.Report.Failed, len(fce.Report.Cells), want)
+	}
+	for _, c := range fce.Report.Cells {
+		if c.Kind != kind || c.Attempts != 1 {
+			t.Fatalf("cell %s: kind=%s attempts=%d, want %s/1", c.Name, c.Kind, c.Attempts, kind)
+		}
+	}
+	return fce.Report
+}
+
+// TestChaosPanicFailsCellOnce: every cell panics; each is attempted once,
+// quarantined as a panic, and not run again by a second RunAll.
+func TestChaosPanicFailsCellOnce(t *testing.T) {
 	const n = 6
 	var executed atomic.Int64
 	plan := faultinject.NewPlan(7, faultinject.Rule{
-		Site: faultinject.SiteJobRun, Kind: faultinject.Panic, Prob: 1, MaxAttempt: 2,
+		Site: faultinject.SiteJobRun, Kind: faultinject.Panic, Prob: 1,
 	})
-	r := New(Options{
-		Jobs:         4,
-		Execute:      countingExecute(&executed, 0),
-		Retries:      3,
-		RetryBackoff: time.Millisecond,
-		Faults:       plan,
-	})
-	if err := r.RunAll(context.Background(), testJobs(n)); err != nil {
-		t.Fatalf("sweep did not converge: %v", err)
+	r := New(Options{Jobs: 4, Execute: countingExecute(&executed, 0), Faults: plan})
+	for round := 0; round < 2; round++ {
+		failureReport(t, r.RunAll(context.Background(), testJobs(n)), n, "panic")
 	}
-	if got := executed.Load(); got != n {
-		t.Fatalf("successful executions = %d, want %d", got, n)
+	if got := plan.Fires(); got != n {
+		t.Fatalf("injected panics = %d, want %d (one per cell)", got, n)
 	}
-	if got := plan.Fires(); got != 2*n {
-		t.Fatalf("injected panics = %d, want %d", got, 2*n)
+	if got := executed.Load(); got != 0 {
+		t.Fatalf("executions past the panic = %d, want 0", got)
 	}
 	snap := r.Metrics()
 	for name, want := range map[string]uint64{
-		"runner/panics":       2 * n,
-		"runner/retries":      2 * n,
-		"runner/cells_failed": 0,
+		"runner/panics":         n,
+		"runner/cells_failed":   n,
+		"runner/cells_executed": 0,
 	} {
 		s, ok := snap.Get(name)
 		if !ok || uint64(s.Value) != want {
 			t.Errorf("%s = %+v, want %d", name, s, want)
 		}
 	}
-	// Telemetry (timing mode) records the attempt count per cell.
-	for _, ct := range r.Telemetry(true).Cells {
-		if ct.Attempts != 3 {
-			t.Fatalf("cell %s attempts = %d, want 3", ct.Name, ct.Attempts)
-		}
-	}
 }
 
-// TestChaosHangWatchdogTimesOut: the first attempt of every cell hangs far
-// past the watchdog; the watchdog abandons it, the retry (fault cleared by
-// MaxAttempt=1) succeeds.
+// TestChaosHangWatchdogTimesOut: every cell hangs far past the watchdog;
+// the watchdog cancels each, reclaims its worker, and fails the cell with
+// a TimeoutError after its one attempt.
 func TestChaosHangWatchdogTimesOut(t *testing.T) {
 	const n = 3
 	var executed atomic.Int64
 	plan := faultinject.NewPlan(7, faultinject.Rule{
-		Site: faultinject.SiteJobRun, Kind: faultinject.Hang, Prob: 1, MaxAttempt: 1,
+		Site: faultinject.SiteJobRun, Kind: faultinject.Hang, Prob: 1,
 		Delay: 10 * time.Second,
 	})
 	r := New(Options{
-		Jobs:         n,
-		Execute:      countingExecute(&executed, 0),
-		JobTimeout:   30 * time.Millisecond,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		Faults:       plan,
+		Jobs:       n,
+		Execute:    countingExecute(&executed, 0),
+		JobTimeout: 30 * time.Millisecond,
+		Faults:     plan,
 	})
 	start := time.Now()
-	if err := r.RunAll(context.Background(), testJobs(n)); err != nil {
-		t.Fatalf("sweep did not converge: %v", err)
-	}
+	failureReport(t, r.RunAll(context.Background(), testJobs(n)), n, "timeout")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("watchdog did not abandon hung cells (took %s)", elapsed)
+		t.Fatalf("watchdog did not cancel hung cells (took %s)", elapsed)
 	}
-	if got := executed.Load(); got != n {
-		t.Fatalf("successful executions = %d, want %d", got, n)
+	if executed.Load() != 0 {
+		t.Fatalf("hung cells reported %d successful executions", executed.Load())
 	}
 	if s, ok := r.Metrics().Get("runner/timeouts"); !ok || uint64(s.Value) != n {
 		t.Fatalf("runner/timeouts = %+v, want %d", s, n)
 	}
 }
 
-// TestChaosTimeoutExhaustionFailsCell: a cell that hangs on every attempt
-// exhausts its budget and surfaces a TimeoutError.
+// TestChaosTimeoutExhaustionFailsCell: a cell that hangs exhausts its one
+// attempt and surfaces a TimeoutError; later requests, through RunAll or
+// Get, return that memoized TimeoutError without running the cell again.
 func TestChaosTimeoutExhaustionFailsCell(t *testing.T) {
 	plan := faultinject.NewPlan(7, faultinject.Rule{
 		Site: faultinject.SiteJobRun, Kind: faultinject.Hang, Prob: 1,
@@ -104,27 +108,32 @@ func TestChaosTimeoutExhaustionFailsCell(t *testing.T) {
 	})
 	var executed atomic.Int64
 	r := New(Options{
-		Jobs:         1,
-		Execute:      countingExecute(&executed, 0),
-		JobTimeout:   20 * time.Millisecond,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		Faults:       plan,
+		Jobs:       1,
+		Execute:    countingExecute(&executed, 0),
+		JobTimeout: 20 * time.Millisecond,
+		Faults:     plan,
 	})
-	err := r.RunAll(context.Background(), testJobs(1))
+	jobs := testJobs(1)
+	for round := 0; round < 2; round++ {
+		failureReport(t, r.RunAll(context.Background(), jobs), 1, "timeout")
+	}
+	_, err := r.Get(context.Background(), jobs[0])
 	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want a TimeoutError", err)
+	if !errors.As(err, &te) || te.Abandoned {
+		t.Fatalf("Get of a timed-out cell: err = %v, want its reclaimed TimeoutError", err)
 	}
 	if executed.Load() != 0 {
 		t.Fatalf("hung cell reported %d successful executions", executed.Load())
 	}
+	if got := plan.Fires(); got != 1 {
+		t.Fatalf("hangs = %d, want 1: a timed-out cell ran again", got)
+	}
 }
 
-// TestChaosKeepGoingReportDeterministic: with a fault plan that always
-// fails the milc cells, keep-going sweeps at 1 and 8 workers quarantine
-// the same cells and render byte-identical failure reports.
-func TestChaosKeepGoingReportDeterministic(t *testing.T) {
+// TestChaosFailureReportDeterministic: with a fault plan that always
+// fails the milc cells, sweeps at 1 and 8 workers quarantine the same
+// cells and render byte-identical failure reports.
+func TestChaosFailureReportDeterministic(t *testing.T) {
 	specs := []string{"milc", "mcf", "sphinx3", "gcc"}
 	var jobs []Job
 	for _, name := range specs {
@@ -145,33 +154,14 @@ func TestChaosKeepGoingReportDeterministic(t *testing.T) {
 		plan := faultinject.NewPlan(7, faultinject.Rule{
 			Site: faultinject.SiteJobRun, Kind: faultinject.Error, Prob: 1, Match: "milc",
 		})
-		r := New(Options{
-			Jobs:         workers,
-			Execute:      countingExecute(&executed, 0),
-			Retries:      1,
-			RetryBackoff: time.Millisecond,
-			KeepGoing:    true,
-			Faults:       plan,
-		})
-		err := r.RunAll(context.Background(), jobs)
-		var fce *FailedCellsError
-		if !errors.As(err, &fce) {
-			t.Fatalf("err = %v, want FailedCellsError", err)
-		}
-		if fce.Report.Failed != 3 {
-			t.Fatalf("failed = %d, want the 3 milc cells", fce.Report.Failed)
-		}
-		for _, c := range fce.Report.Cells {
-			if c.Kind != "error" || c.Attempts != 2 {
-				t.Fatalf("cell %s: kind=%s attempts=%d, want error/2", c.Name, c.Kind, c.Attempts)
-			}
-		}
+		r := New(Options{Jobs: workers, Execute: countingExecute(&executed, 0), Faults: plan})
+		rep := failureReport(t, r.RunAll(context.Background(), jobs), 3, "error")
 		// The 9 healthy cells all completed despite the failures.
 		if got := executed.Load(); got != 9 {
 			t.Fatalf("healthy executions = %d, want 9", got)
 		}
 		var buf bytes.Buffer
-		if err := fce.Report.WriteJSON(&buf); err != nil {
+		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -186,25 +176,22 @@ func TestChaosKeepGoingReportDeterministic(t *testing.T) {
 
 // TestChaosPermanentErrorNotRetried: an invalid configuration fails
 // through the real TryRun path as invalid-config after exactly one
-// attempt, regardless of the retry budget.
+// attempt, however often it is requested.
 func TestChaosPermanentErrorNotRetried(t *testing.T) {
 	sp, ok := workload.SpecByName("sphinx3")
 	if !ok {
 		t.Fatal("sphinx3 missing")
 	}
 	bad := NewJob(sp, system.Config{ScaleDiv: 4096, Cores: -1, InstrPerCore: 1000})
-	r := New(Options{Jobs: 1, Retries: 5, RetryBackoff: time.Millisecond, KeepGoing: true})
-	err := r.RunAll(context.Background(), []Job{bad})
-	var fce *FailedCellsError
-	if !errors.As(err, &fce) {
-		t.Fatalf("err = %v, want FailedCellsError", err)
+	r := New(Options{Jobs: 1})
+	for round := 0; round < 2; round++ {
+		failureReport(t, r.RunAll(context.Background(), []Job{bad}), 1, "invalid-config")
 	}
-	c := fce.Report.Cells[0]
-	if c.Kind != "invalid-config" || c.Attempts != 1 {
-		t.Fatalf("cell = %+v, want kind=invalid-config attempts=1", c)
+	if _, err := r.Get(context.Background(), bad); !IsPermanent(err) {
+		t.Fatalf("Get: err = %v, want the memoized configuration error", err)
 	}
-	if s, ok := r.Metrics().Get("runner/retries"); !ok || s.Value != 0 {
-		t.Fatalf("runner/retries = %+v, want 0 (permanent errors must not retry)", s)
+	if s, ok := r.Metrics().Get("runner/cells_failed"); !ok || s.Value != 1 {
+		t.Fatalf("runner/cells_failed = %+v, want 1 (one attempt)", s)
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // FailureSchema versions the failure-report JSON layout.
 const FailureSchema = "cameo-failures-v1"
 
-// CellFailure records one cell that exhausted its attempts under keep-going
-// mode. Error holds only the first line of the final error (no stack
-// traces, no addresses), so a report is byte-identical across runs and
-// worker counts for a deterministic fault schedule.
+// CellFailure records one failed cell. Error holds only the first line of
+// its error (no stack traces, no addresses), so a report is byte-identical
+// across runs and worker counts for a deterministic fault schedule.
+// Attempts is 1 for a runner's cell (each is attempted once); a fleet
+// coordinator counts its dispatches of the cell there.
 type CellFailure struct {
 	Key      string `json:"key"`
 	Name     string `json:"name"`
@@ -54,9 +55,9 @@ func (rep *FailureReport) Summary() string {
 	return fmt.Sprintf("%d cells failed: %s", rep.Failed, strings.Join(names, ", "))
 }
 
-// FailedCellsError is returned by RunAll in keep-going mode when one or
-// more cells exhausted their attempts: the sweep completed every other
-// cell, and the report says exactly what is missing.
+// FailedCellsError is returned by RunAll when one or more of its cells
+// failed: the sweep completed every other cell, and the report says
+// exactly what is missing.
 type FailedCellsError struct {
 	Report *FailureReport
 }
@@ -78,7 +79,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %s panicked: %s\n%s", e.Name, e.Value, e.Stack)
 }
 
-// TimeoutError reports a cell attempt that outlived the per-job watchdog.
+// TimeoutError reports a cell that outlived the per-job watchdog.
 // The watchdog cancels the attempt's context; the simulation engine's
 // preemption points unwind the goroutine within a few thousand events and
 // the worker is reclaimed. Abandoned marks the rare attempt that ignored
@@ -98,11 +99,11 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("runner: job %s exceeded the %s watchdog", e.Name, e.Timeout)
 }
 
-// CancelledError reports an attempt stopped by cooperative cancellation of
-// the sweep itself (Ctrl-C, request deadline, drain) rather than the
-// per-attempt watchdog. It unwraps to the context error, so
-// errors.Is(err, context.Canceled) works on it; the runner never retries a
-// cancelled attempt and never counts it as a cell failure.
+// CancelledError reports a cell stopped by cooperative cancellation of the
+// sweep itself (Ctrl-C, request deadline, drain) rather than the per-cell
+// watchdog. It unwraps to the context error, so
+// errors.Is(err, context.Canceled) works on it; the runner never counts a
+// cancelled cell as a failure and does not memoize it.
 type CancelledError struct {
 	Name  string
 	Cause error // context.Canceled or context.DeadlineExceeded
@@ -114,15 +115,15 @@ func (e *CancelledError) Error() string {
 
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
-// permanentError marks an error that retrying cannot fix (invalid
-// configuration, geometry that cannot be built). The retry loop stops on it
-// immediately instead of burning attempts.
+// permanentError marks an error in the cell's own configuration (invalid
+// configuration, geometry that cannot be built); the failure report
+// classifies it as invalid-config.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// Permanent wraps err as non-retryable. Permanent(nil) is nil.
+// Permanent marks err as a configuration error. Permanent(nil) is nil.
 func Permanent(err error) error {
 	if err == nil {
 		return nil

@@ -111,11 +111,11 @@ func (j Job) Run() system.Result {
 }
 
 // TryRun executes the cell, surfacing configuration and geometry problems
-// as errors instead of panics. Those errors are marked Permanent — a bad
-// configuration does not become valid on retry — so the runner fails the
-// cell after one attempt. ctx cancellation preempts the simulation's event
-// loop cooperatively and comes back as a *CancelledError (never Permanent:
-// the configuration was fine, the run was interrupted).
+// as errors instead of panics. Those errors are marked Permanent, which the
+// failure report classifies as invalid-config. ctx cancellation preempts
+// the simulation's event loop cooperatively and comes back as a
+// *CancelledError (never Permanent: the configuration was fine, the run was
+// interrupted).
 func (j Job) TryRun(ctx context.Context) (system.Result, error) {
 	return j.tryRun(ctx, nil)
 }

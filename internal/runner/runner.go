@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -18,7 +17,7 @@ import (
 )
 
 // Options configures a Runner. The zero value is usable: GOMAXPROCS
-// workers, no persistent cache, no watchdog, no retries, silent.
+// workers, no persistent cache, no watchdog, silent.
 type Options struct {
 	// Jobs is the worker-pool size (<=0 means GOMAXPROCS).
 	Jobs int
@@ -34,45 +33,35 @@ type Options struct {
 	// only ReclaimGrace for hooks that ignore it.
 	Execute func(ctx context.Context, j Job) system.Result
 
-	// JobTimeout arms a per-attempt watchdog: an attempt that outlives it
-	// has its context cancelled — the simulation engine's preemption
-	// points unwind the goroutine and the worker is reclaimed — and fails
-	// with a TimeoutError (retried if attempts remain). 0 disables the
-	// watchdog.
+	// JobTimeout arms a per-cell watchdog: a cell that outlives it has
+	// its context cancelled — the simulation engine's preemption points
+	// unwind the goroutine and the worker is reclaimed — and fails with a
+	// TimeoutError. 0 disables the watchdog.
 	JobTimeout time.Duration
-	// ReclaimGrace bounds how long a cancelled attempt may take to
+	// ReclaimGrace bounds how long a cancelled cell may take to
 	// acknowledge cancellation before its goroutine is abandoned (only
 	// non-cooperative code — a hook ignoring ctx — ever hits this). <=0
 	// defaults to 2s, comfortably above the engine's preemption latency.
 	ReclaimGrace time.Duration
-	// Retries is how many times a transiently-failed attempt (panic,
-	// timeout, non-permanent error) is retried. Permanent errors — invalid
-	// configurations — never retry. 0 means a single attempt.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; it doubles
-	// per attempt (capped at 5s) with deterministic key-derived jitter.
-	// <=0 with Retries>0 defaults to 100ms.
-	RetryBackoff time.Duration
-	// KeepGoing quarantines cells that exhaust their attempts instead of
-	// failing the sweep: RunAll completes every other cell and returns a
-	// *FailedCellsError carrying the structured FailureReport.
-	KeepGoing bool
 	// Faults, when non-nil, injects deterministic faults at the job-run
 	// site (panics, errors, hangs) for chaos testing. Cache-site faults
 	// are armed on the DiskCache itself (SetFaults).
 	Faults *faultinject.Plan
 }
 
-// Runner executes simulation jobs at most once each and memoizes the
-// results in a mutex-guarded map keyed by the canonical cell key.
+// Runner attempts each simulation job at most once and memoizes the
+// outcome, result or failure, in mutex-guarded maps keyed by the canonical
+// cell key. Cells are deterministic functions of their keys, so a second
+// attempt could only replay the first; a rerun over the same persistent
+// cache retries exactly the failed cells, which are never stored.
 type Runner struct {
 	opts Options
 
 	mu       sync.Mutex
 	done     map[string]system.Result
+	failed   map[string]failedCell
 	inflight map[string]*call
 	cells    map[string]cellInfo
-	failed   map[string]CellFailure
 
 	// progress counters (guarded by mu)
 	completed int
@@ -87,7 +76,6 @@ type Runner struct {
 	cacheHits    *metrics.Counter
 	memoHits     *metrics.Counter
 	panicked     *metrics.Counter
-	retried      *metrics.Counter
 	timedOut     *metrics.Counter
 	cancelled    *metrics.Counter
 	abandoned    *metrics.Counter
@@ -97,6 +85,13 @@ type Runner struct {
 	// record builds the recording a plan's cells share (system.Record;
 	// tests wrap it to count and track recordings).
 	record func(context.Context, Job) (*system.Recording, error)
+}
+
+// failedCell is a memoized failure: its report row and the error every
+// later request for the cell gets back.
+type failedCell struct {
+	report CellFailure
+	err    error
 }
 
 // call is one in-flight singleflight execution.
@@ -114,9 +109,9 @@ func New(opts Options) *Runner {
 	r := &Runner{
 		opts:     opts,
 		done:     map[string]system.Result{},
+		failed:   map[string]failedCell{},
 		inflight: map[string]*call{},
 		cells:    map[string]cellInfo{},
-		failed:   map[string]CellFailure{},
 		reg:      metrics.NewRegistry(),
 		record: func(ctx context.Context, j Job) (*system.Recording, error) {
 			return system.Record(ctx, j.Specs, j.Cfg)
@@ -127,7 +122,6 @@ func New(opts Options) *Runner {
 	r.cacheHits = sc.Counter("cache_hits")
 	r.memoHits = sc.Counter("memo_hits")
 	r.panicked = sc.Counter("panics")
-	r.retried = sc.Counter("retries")
 	r.timedOut = sc.Counter("timeouts")
 	r.cancelled = sc.Counter("cancelled")
 	r.abandoned = sc.Counter("abandoned_goroutines")
@@ -148,13 +142,15 @@ func (r *Runner) ExecutedCells() uint64 { return r.executed.Value() }
 // cache instead of being executed.
 func (r *Runner) CacheHitCells() uint64 { return r.cacheHits.Value() }
 
-// Get returns the job's result, computing it at most once: the first
+// Get returns the job's result, attempting it at most once: the first
 // caller for a key executes, concurrent callers for the same key block on
-// that execution, later callers hit the memo map. ctx propagates into the
+// that execution, later callers hit the memo map — and get a failed cell's
+// error back without running it again. ctx propagates into the
 // execution: cancelling the first caller's ctx preempts the simulation's
 // event loop (the cell fails with a *CancelledError for every waiter) and
 // the worker is reclaimed. A waiter that arrived later and is cancelled
-// merely stops waiting; the cell keeps computing for the others.
+// merely stops waiting; the cell keeps computing for the others. A cell
+// cancelled this way is not memoized, so a later request runs it.
 func (r *Runner) Get(ctx context.Context, j Job) (system.Result, error) {
 	return r.get(ctx, j, nil)
 }
@@ -169,6 +165,10 @@ func (r *Runner) get(ctx context.Context, j Job, ps *planStream) (system.Result,
 		r.mu.Unlock()
 		r.memoHits.Inc()
 		return res, nil
+	}
+	if f, ok := r.failed[key]; ok {
+		r.mu.Unlock()
+		return system.Result{}, f.err
 	}
 	if c, ok := r.inflight[key]; ok {
 		r.mu.Unlock()
@@ -199,11 +199,10 @@ func (r *Runner) get(ctx context.Context, j Job, ps *planStream) (system.Result,
 	return c.res, c.err
 }
 
-// execute runs one cell: cache consult, then up to 1+Retries watchdog-bound
-// attempts with backoff, stopping early on permanent (config) errors and on
-// sweep cancellation. A cell that exhausts its attempts is recorded in the
-// failure map; a cancelled cell is not — cancellation is the sweep's
-// verdict, not the cell's; a cell that succeeds is stored to the cache.
+// execute runs one cell: a cache consult, then one watchdog-bound attempt.
+// A cell that fails is recorded in the failure map, where later requests
+// find it; a cancelled cell is not — cancellation is the sweep's verdict,
+// not the cell's; a cell that succeeds is stored to the cache.
 func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Result, error) {
 	key, name, hash := j.Key(), j.Name(), j.Hash()
 	if r.opts.Cache != nil {
@@ -216,62 +215,42 @@ func (r *Runner) execute(ctx context.Context, j Job, ps *planStream) (system.Res
 			return cached, nil
 		}
 	}
-
-	maxAttempts := 1 + r.opts.Retries
-	if maxAttempts < 1 {
-		maxAttempts = 1
+	if err := ctx.Err(); err != nil {
+		r.cancelled.Inc()
+		return system.Result{}, &CancelledError{Name: name, Cause: err}
 	}
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			r.retried.Inc()
-			sleepCtx(ctx, retryBackoff(r.opts.RetryBackoff, attempt, key))
+
+	res, wall, err := r.attempt(ctx, j, name, key, ps)
+	if err == nil {
+		r.executed.Inc()
+		r.cellWallHist.Observe(uint64(wall.Milliseconds()))
+		r.mu.Lock()
+		r.cells[key] = cellInfo{name: name, wallNS: wall.Nanoseconds()}
+		r.mu.Unlock()
+		if r.opts.Cache != nil {
+			r.opts.Cache.Store(hash, res)
 		}
-		if err := ctx.Err(); err != nil {
-			r.cancelled.Inc()
-			return system.Result{}, &CancelledError{Name: name, Cause: err}
-		}
-		res, wall, err := r.attempt(ctx, j, name, key, attempt, ps)
-		if err == nil {
-			r.executed.Inc()
-			r.cellWallHist.Observe(uint64(wall.Milliseconds()))
-			r.mu.Lock()
-			r.cells[key] = cellInfo{name: name, wallNS: wall.Nanoseconds(), attempts: attempt + 1}
-			r.mu.Unlock()
-			if r.opts.Cache != nil {
-				r.opts.Cache.Store(hash, res)
-			}
-			return res, nil
-		}
-		lastErr = err
-		var ce *CancelledError
-		if errors.As(err, &ce) {
-			// The sweep was cancelled out from under the cell: surface it
-			// without burning retries or recording a cell failure.
-			r.cancelled.Inc()
-			return system.Result{}, err
-		}
-		if IsPermanent(err) {
-			break
-		}
+		return res, nil
+	}
+	var ce *CancelledError
+	if errors.As(err, &ce) {
+		// The sweep was cancelled out from under the cell (attempt has
+		// counted it): surface it without recording a cell failure.
+		return system.Result{}, err
 	}
 
 	r.failures.Inc()
-	attempts := maxAttempts
-	if IsPermanent(lastErr) {
-		attempts = 1
-	}
 	r.mu.Lock()
-	r.failed[key] = CellFailure{
+	r.failed[key] = failedCell{err: err, report: CellFailure{
 		Key:      key,
 		Name:     name,
 		Hash:     hash,
-		Attempts: attempts,
-		Kind:     classifyFailure(lastErr),
-		Error:    firstLine(lastErr.Error()),
-	}
+		Attempts: 1,
+		Kind:     classifyFailure(err),
+		Error:    firstLine(err.Error()),
+	}}
 	r.mu.Unlock()
-	return system.Result{}, lastErr
+	return system.Result{}, err
 }
 
 // attemptResult carries one attempt's outcome across the watchdog channel.
@@ -281,15 +260,15 @@ type attemptResult struct {
 	err  error
 }
 
-// attempt runs one execution attempt in its own goroutine under a
-// per-attempt context (the caller's ctx bounded by JobTimeout). On timeout
+// attempt runs the cell's one execution attempt in its own goroutine under
+// an attempt context (the caller's ctx bounded by JobTimeout). On timeout
 // or sweep cancellation the context is cancelled, the engine's preemption
 // points unwind the simulation, and attempt waits up to ReclaimGrace for
 // the goroutine to return — so a timed-out cell releases its worker, its
 // goroutine, and its machine memory instead of leaking them. Panics (real
 // or injected) become PanicError; injected hangs and stalls park until
 // cancellation wakes them.
-func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt int, ps *planStream) (system.Result, time.Duration, error) {
+func (r *Runner) attempt(ctx context.Context, j Job, name, key string, ps *planStream) (system.Result, time.Duration, error) {
 	actx := ctx
 	cancel := context.CancelFunc(func() {})
 	if r.opts.JobTimeout > 0 {
@@ -309,12 +288,12 @@ func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt i
 				}}
 			}
 		}()
-		if f, ok := r.opts.Faults.Evaluate(faultinject.SiteJobRun, key, attempt); ok {
+		if f, ok := r.opts.Faults.Evaluate(faultinject.SiteJobRun, key, 0); ok {
 			switch f.Kind {
 			case faultinject.Panic:
-				panic(fmt.Sprintf("faultinject: injected panic (attempt %d)", attempt))
+				panic("faultinject: injected panic")
 			case faultinject.Error:
-				ch <- attemptResult{err: fmt.Errorf("faultinject: injected error (attempt %d)", attempt)}
+				ch <- attemptResult{err: errors.New("faultinject: injected error")}
 				return
 			case faultinject.Hang:
 				// A blocked cell (lost I/O, deadlocked dependency): parks
@@ -379,7 +358,7 @@ func (r *Runner) attempt(ctx context.Context, j Job, name, key string, attempt i
 
 // mapAttemptErr normalizes an attempt's own error against the two contexts:
 // a CancelledError caused by the attempt deadline (not the sweep) is really
-// a watchdog timeout and must be retryable as such.
+// a watchdog timeout and fails the cell as such.
 func (r *Runner) mapAttemptErr(ctx, actx context.Context, name string, err error) error {
 	var ce *CancelledError
 	if err == nil || !errors.As(err, &ce) {
@@ -405,19 +384,13 @@ func positiveDelay(d time.Duration) time.Duration {
 	return d
 }
 
-// sleepCtx sleeps for d or until ctx is cancelled, reporting whether the
-// full duration elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
+// sleepCtx sleeps for d or until ctx is cancelled.
+func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
 	case <-ctx.Done():
-		return false
 	}
 }
 
@@ -436,36 +409,15 @@ func busyStall(ctx context.Context, d time.Duration) {
 	}
 }
 
-// retryBackoff computes the delay before retry number attempt (>=1):
-// exponential from base, capped at 5s, plus deterministic jitter derived
-// from (key, attempt) so two workers retrying different cells don't
-// thunder in lockstep, while the same sweep replays identically.
-func retryBackoff(base time.Duration, attempt int, key string) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt && d < 5*time.Second; i++ {
-		d *= 2
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", key, attempt)
-	jitter := time.Duration(h.Sum64() % uint64(d/2+1))
-	return d + jitter
-}
-
 // RunAll fans jobs across the worker pool and waits for the drain. Result
 // order is irrelevant here — read them back with Get (memo hits) or
 // Results(). Duplicate cells execute once. On cancellation the pool stops
 // picking up new cells, in-flight cells are preempted at the engine's next
 // cancellation check (their goroutines unwind and rejoin the pool), and
 // ctx.Err() is returned.
-// Without KeepGoing, per-cell errors are collected and joined without
-// stopping other cells; with KeepGoing, failed cells are quarantined into
-// a FailureReport and RunAll returns a *FailedCellsError describing them.
+// A failed cell never stops the others: RunAll completes every healthy
+// cell and, when any of jobs failed (now or in an earlier call), returns a
+// *FailedCellsError whose report lists exactly those cells.
 // Cells of the plan that consume the same request streams share one
 // recording of them (see planStreams); it is freed once the last of them
 // finishes, and never outlives RunAll.
@@ -497,11 +449,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 	}
 
 	feed := make(chan int)
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		errs  []error
-	)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -510,13 +458,8 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 				if ctx.Err() != nil {
 					continue // drain the feed without starting new cells
 				}
-				_, err := r.get(ctx, unique[i], streams[i])
+				_, _ = r.get(ctx, unique[i], streams[i]) // failures are read back from r.failed
 				streams[i].release()
-				if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-				}
 				r.tick()
 			}
 		}()
@@ -531,31 +474,42 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if r.opts.KeepGoing {
-		if rep := r.FailureReport(); rep != nil {
-			return &FailedCellsError{Report: rep}
-		}
-		return nil
+	if rep := r.failureReport(keys); rep != nil {
+		return &FailedCellsError{Report: rep}
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
-// FailureReport returns the structured report of every cell that exhausted
-// its attempts, key-sorted, or nil when nothing failed.
+// FailureReport returns the structured report of every cell that failed,
+// key-sorted, or nil when nothing failed.
 func (r *Runner) FailureReport() *FailureReport {
+	return r.failureReport(nil)
+}
+
+// failureReport reports the failed cells among keys (every failed cell
+// when keys is nil), key-sorted, or nil when none of them failed.
+func (r *Runner) failureReport(keys []string) *FailureReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.failed) == 0 {
+	var failed []string
+	if keys == nil {
+		for k := range r.failed {
+			failed = append(failed, k)
+		}
+	} else {
+		for _, k := range keys {
+			if _, ok := r.failed[k]; ok {
+				failed = append(failed, k)
+			}
+		}
+	}
+	if len(failed) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(r.failed))
-	for k := range r.failed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cells := make([]CellFailure, 0, len(keys))
-	for _, k := range keys {
-		cells = append(cells, r.failed[k])
+	sort.Strings(failed)
+	cells := make([]CellFailure, len(failed))
+	for i, k := range failed {
+		cells[i] = r.failed[k].report
 	}
 	return &FailureReport{Schema: FailureSchema, Failed: len(cells), Cells: cells}
 }

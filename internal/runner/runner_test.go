@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cameo/internal/faultinject"
 	"cameo/internal/system"
 	"cameo/internal/workload"
 )
@@ -90,12 +91,9 @@ func TestPanicBecomesError(t *testing.T) {
 		n.Add(1)
 		return system.Result{Cycles: j.Cfg.Seed}
 	}})
-	err := r.RunAll(context.Background(), testJobs(4))
-	if err == nil {
-		t.Fatal("panic not surfaced as error")
-	}
-	if !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "sphinx3") {
-		t.Fatalf("error missing context: %v", err)
+	rep := failureReport(t, r.RunAll(context.Background(), testJobs(4)), 1, "panic")
+	if c := rep.Cells[0]; !strings.Contains(c.Error, "boom") || !strings.Contains(c.Error, "sphinx3") {
+		t.Fatalf("failure missing context: %+v", c)
 	}
 	// The other cells still completed.
 	if got := n.Load(); got != 3 {
@@ -103,6 +101,37 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 	if r.Len() != 3 {
 		t.Fatalf("memoized cells = %d, want 3", r.Len())
+	}
+}
+
+// TestFailedCellAttemptedOnce: a failing cell requested through RunAll,
+// RunAll again and Get is attempted once; every request that holds it gets
+// its error, and a plan that does not hold it reports no failure.
+func TestFailedCellAttemptedOnce(t *testing.T) {
+	jobs := testJobs(3)
+	plan := faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteJobRun, Kind: faultinject.Error, Prob: 1, Match: "|seed=2|",
+	})
+	var n atomic.Int64
+	r := New(Options{Jobs: 2, Execute: countingExecute(&n, 0), Faults: plan})
+	for round := 0; round < 2; round++ {
+		rep := failureReport(t, r.RunAll(context.Background(), jobs), 1, "error")
+		if rep.Cells[0].Key != jobs[1].Key() {
+			t.Fatalf("round %d: failed cell = %s, want seed 2", round, rep.Cells[0].Name)
+		}
+	}
+	if _, err := r.Get(context.Background(), jobs[1]); err == nil || !strings.Contains(err.Error(), "injected error") {
+		t.Fatalf("Get: err = %v, want the memoized injected error", err)
+	}
+	if got := plan.Fires(); got != 1 {
+		t.Fatalf("failing cell attempted %d times, want once", got)
+	}
+	if got := n.Load(); got != 2 {
+		t.Fatalf("healthy executions = %d, want 2", got)
+	}
+	// A plan without the failed cell reports no failure.
+	if err := r.RunAll(context.Background(), []Job{jobs[0], jobs[2]}); err != nil {
+		t.Fatalf("plan of healthy cells: err = %v, want nil", err)
 	}
 }
 

@@ -30,8 +30,8 @@ type planStream struct {
 
 // planStreams returns, aligned with unique, the shared stream of every
 // cell whose identity at least one other cell of the plan also consumes,
-// and nil for the rest. Cells already memoized will not execute, so they
-// do not count.
+// and nil for the rest. Cells already memoized, as results or as failures,
+// will not execute, so they do not count.
 func (r *Runner) planStreams(unique []Job, keys []string) []*planStream {
 	out := make([]*planStream, len(unique))
 	if len(unique) < 2 {
@@ -44,7 +44,9 @@ func (r *Runner) planStreams(unique []Job, keys []string) []*planStream {
 	count := map[string]int{}
 	r.mu.Lock()
 	for i, id := range ids {
-		if _, memo := r.done[keys[i]]; memo {
+		_, memo := r.done[keys[i]]
+		_, failed := r.failed[keys[i]]
+		if memo || failed {
 			ids[i] = ""
 		} else {
 			count[id]++

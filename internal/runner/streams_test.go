@@ -115,6 +115,21 @@ func TestPlanOfDistinctIdentitiesRecordsNothing(t *testing.T) {
 	if got := rs.calls.Load(); got != 0 {
 		t.Fatalf("recorded %d times for single-use identities", got)
 	}
+
+	// Likewise for a cell memoized as a failure: it will not execute, so
+	// its healthy partner generates live.
+	plan := faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteJobRun, Kind: faultinject.Error, Prob: 1,
+		Match: fmt.Sprintf("|org=%d|", system.CAMEO),
+	})
+	rf := New(Options{Jobs: 1, Faults: plan})
+	fs := trackRecordings(rf)
+	failed := sharedJobs(4, system.CAMEO)
+	failureReport(t, rf.RunAll(context.Background(), failed), 1, "error")
+	failureReport(t, rf.RunAll(context.Background(), append(sharedJobs(4, system.Baseline), failed...)), 1, "error")
+	if got := fs.calls.Load(); got != 0 {
+		t.Fatalf("recorded %d times for a partner of a failed cell", got)
+	}
 }
 
 // TestConcurrentCellsShareOneRecording: at two workers, cells of one
@@ -135,9 +150,9 @@ func TestConcurrentCellsShareOneRecording(t *testing.T) {
 
 // TestFailedRecordingIsNeverPublished: a recorder that panics after
 // recording in full must not leave its recording to the other cells; the
-// panicking cell retries and every cell generates live.
+// recording cell fails and every other cell generates live.
 func TestFailedRecordingIsNeverPublished(t *testing.T) {
-	r := New(Options{Jobs: 1, Retries: 1, RetryBackoff: time.Millisecond})
+	r := New(Options{Jobs: 1})
 	var calls atomic.Int64
 	inner := r.record
 	r.record = func(ctx context.Context, j Job) (*system.Recording, error) {
@@ -148,13 +163,14 @@ func TestFailedRecordingIsNeverPublished(t *testing.T) {
 		panic("recorder fails after recording")
 	}
 	jobs := sharedJobs(5, system.Baseline, system.CAMEO, system.TLMStatic)
-	if err := r.RunAll(context.Background(), jobs); err != nil {
-		t.Fatal(err)
+	rep := failureReport(t, r.RunAll(context.Background(), jobs), 1, "panic")
+	if rep.Cells[0].Key != jobs[0].Key() {
+		t.Fatalf("failed cell = %s, want the recording cell %s", rep.Cells[0].Name, jobs[0].Name())
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("recorder called %d times, want once: a failed recording sends the rest live", got)
 	}
-	requireLiveResults(t, r, jobs)
+	requireLiveResults(t, r, jobs[1:])
 }
 
 // TestNoRecordingOutlivesRunAll: whether the plan succeeds, loses a cell,

@@ -20,7 +20,6 @@ type CellTelemetry struct {
 	Name      string           `json:"name"`
 	FromCache bool             `json:"from_cache,omitempty"`
 	WallNS    int64            `json:"wall_ns,omitempty"`
-	Attempts  int              `json:"attempts,omitempty"`
 	Metrics   metrics.Snapshot `json:"metrics"`
 }
 
@@ -48,7 +47,6 @@ type cellInfo struct {
 	name      string
 	wallNS    int64
 	fromCache bool
-	attempts  int
 }
 
 // Telemetry assembles the run telemetry from the memoized cells. With
@@ -72,7 +70,6 @@ func (r *Runner) Telemetry(includeTiming bool) Telemetry {
 			if includeTiming {
 				ct.WallNS = info.wallNS
 				ct.FromCache = info.fromCache
-				ct.Attempts = info.attempts
 			}
 		}
 		cells = append(cells, ct)

@@ -141,9 +141,9 @@ func TestReplyMemoOffWithoutCache(t *testing.T) {
 	}
 }
 
-// TestReplyMemoSkipsFailedCells: a keep-going failure is not memoized, so
-// a repeat sends the failed cell to the runner again while its healthy
-// neighbour comes from the memo.
+// TestReplyMemoSkipsFailedCells: a failed cell is not memoized, so a
+// repeat sends it to a new runner again while its healthy neighbour comes
+// from the memo.
 func TestReplyMemoSkipsFailedCells(t *testing.T) {
 	var execs, panics atomic.Int64
 	cache := &countingCache{}

@@ -56,8 +56,6 @@ type Options struct {
 	MaxCells int
 	// JobTimeout arms the runner's per-cell watchdog (0 = off).
 	JobTimeout time.Duration
-	// Retries is the runner's transient-failure retry budget.
-	Retries int
 	// CacheDir, when non-empty, persists cell results across requests and
 	// restarts (shared runner.DiskCache). Ignored when Disk is set.
 	CacheDir string
@@ -384,8 +382,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case err == nil:
 		case errors.As(err, &failedCells):
-			// Keep-going: the grid below holds the surviving cells; the
-			// response names the quarantined ones.
+			// The grid below holds the surviving cells; the response
+			// names the quarantined ones.
 			s.failed.Inc()
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			s.cancelled.Inc()
@@ -441,8 +439,6 @@ func (s *Server) newRunner() *runner.Runner {
 		Jobs:       s.opts.Jobs,
 		Execute:    s.opts.Execute,
 		JobTimeout: s.opts.JobTimeout,
-		Retries:    s.opts.Retries,
-		KeepGoing:  true,
 	}
 	switch {
 	case s.opts.Cache != nil:

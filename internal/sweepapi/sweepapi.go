@@ -68,9 +68,9 @@ type Cell struct {
 	LatencyP95    uint64  `json:"latency_p95"`
 }
 
-// Response is the POST /sweep reply. Failures lists cells quarantined by
-// the runner's keep-going mode; Cells still contains every cell that
-// completed.
+// Response is the POST /sweep reply. Failures lists the cells that failed,
+// each attempted once and quarantined by the runner; Cells still contains
+// every cell that completed.
 type Response struct {
 	Org      string               `json:"org"`
 	Cells    []Cell               `json:"cells"`

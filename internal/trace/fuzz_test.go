@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // FuzzReaderRobustness feeds arbitrary bytes to the trace reader: it must
-// reject or parse them without panicking, whatever the corruption.
+// reject or parse them without panicking, whatever the corruption, and
+// every error other than a clean io.EOF must wrap ErrBadFormat.
 func FuzzReaderRobustness(f *testing.F) {
 	// Seed with a valid trace and a few mutations.
 	var buf bytes.Buffer
@@ -26,12 +28,15 @@ func FuzzReaderRobustness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("NewReader: %v does not wrap ErrBadFormat", err)
+			}
 			return
 		}
 		for i := 0; i < 1000; i++ {
 			if _, err := r.Next(); err != nil {
-				if err != io.EOF && err == nil {
-					t.Fatal("nil error with failure")
+				if err != io.EOF && !errors.Is(err, ErrBadFormat) {
+					t.Fatalf("Next: %v is neither io.EOF nor wraps ErrBadFormat", err)
 				}
 				return
 			}
